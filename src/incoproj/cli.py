@@ -15,22 +15,13 @@ import sys
 
 import numpy as np
 
-from .altproj import AltProjConfig, altproj_optimize
 from .coherence import coherence_report, offdiag_histogram
-from .dictlearn import (
-    CoupledConfig,
-    FixedProjection,
-    SapiroInner,
-    TrainingSet,
-    coupled_ksvd,
-    ksvd,
-)
-from .elad import EladConfig, FixedThreshold, RelativeThreshold, elad_optimize
+from .dictlearn import CoupledConfig, TrainingSet, coupled_ksvd, ksvd
 from .errors import ConfigError, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, run_sweep
 from .linalg import Dictionary, gram
-from .matrixio import read_matrix, write_csv, write_histogram, write_matrix
-from .sapiro import sapiro_optimize
+from .matrixio import read_matrix, write_histogram, write_matrix
+from .optimizers import OPTIMIZERS, Arm, design
 
 PAPER_SCALE = dict(n=200, k=400, m=30, N=10000, S_range=tuple(range(1, 11)))
 
@@ -44,35 +35,19 @@ def _load_or_generate_dictionary(args) -> Dictionary:
     return Dictionary(np.random.default_rng(seed).standard_normal((args.n, args.k)))
 
 
+def _arm(name: str, args, **flags) -> Arm:
+    """Arm for optimizer ``name`` from the shared flags plus ``flags``, keeping only its keys."""
+    values = dict(mode=args.mode, t=args.t, percent=args.percent, gamma=args.gamma, **flags)
+    keys = [key.name for key in OPTIMIZERS[name].keys]
+    return Arm(name, {key: values[key] for key in keys if key in values})
+
+
 def _cmd_design(args) -> int:
     D = _load_or_generate_dictionary(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    seed = args.seed
-    if args.method == "elad":
-        if args.mode == "fixed":
-            threshold = FixedThreshold(args.t)
-        else:
-            threshold = RelativeThreshold(args.percent)
-        cfg = EladConfig(
-            threshold_mode=threshold,
-            gamma=args.gamma,
-            iterations=args.iterations,
-            m=args.m,
-            seed=seed,
-        )
-        P, trace = elad_optimize(D, cfg)
-        trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
-    elif args.method == "altproj":
-        cfg = AltProjConfig(t=args.t, m=args.m, iterations=args.iterations, seed=seed)
-        P, trace = altproj_optimize(D, cfg)
-        trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
-    elif args.method == "sapiro":
-        P, trace = sapiro_optimize(D, args.m, seed)
-        write_csv(
-            os.path.join(args.out_dir, "trace.csv"), ["step", "objective"], enumerate(trace)
-        )
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
+    arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
+    P, trace = design(arm, D, args.m)
+    OPTIMIZERS[args.method].write_trace(os.path.join(args.out_dir, "trace.csv"), trace)
 
     write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
     report = coherence_report(P @ D.data, t=args.t, bins=args.bins)
@@ -115,29 +90,12 @@ def _cmd_ksvd(args) -> int:
 def _cmd_coupled(args) -> int:
     X = read_matrix(args.signals)
     Y = read_matrix(args.measurements)
-    m = Y.shape[0]
-    if args.inner == "sapiro":
-        inner = SapiroInner(seed=args.inner_seed)
-    elif args.inner == "elad":
-        if args.mode == "fixed":
-            threshold = FixedThreshold(args.t)
-        else:
-            threshold = RelativeThreshold(args.percent)
-        inner = EladConfig(
-            threshold_mode=threshold,
-            gamma=args.gamma,
-            iterations=args.inner_iterations,
-            m=m,
-            seed=args.inner_seed,
-        )
-    elif args.inner == "altproj":
-        inner = AltProjConfig(t=args.t, m=m, iterations=args.inner_iterations, seed=args.inner_seed)
-    elif args.inner == "fixed":
+    flags = dict(iterations=args.inner_iterations, seed=args.inner_seed)
+    if args.inner == "fixed":
         if not args.proj:
             raise ConfigError("--inner fixed requires --proj FILE")
-        inner = FixedProjection(read_matrix(args.proj))
-    else:
-        raise ConfigError(f"unknown inner optimizer {args.inner!r}")
+        flags["P"] = read_matrix(args.proj)
+    inner = _arm(args.inner, args, **flags)
 
     cfg = CoupledConfig(
         lam=args.lam,
@@ -156,6 +114,14 @@ def _cmd_coupled(args) -> int:
     return 0
 
 
+def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
+    """The elad/altproj flags that ``design`` and ``coupled`` share."""
+    p.add_argument("--mode", choices=["fixed", "relative"], default="relative")
+    p.add_argument("--t", type=float, default=0.26, help="threshold (fixed mode / altproj)")
+    p.add_argument("--percent", type=float, default=26.0, help="relative-mode percentile")
+    p.add_argument("--gamma", type=float, default=0.6)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incoproj",
@@ -170,10 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="columns of a generated Gaussian dictionary")
     p.add_argument("--dict-seed", type=int, default=None)
     p.add_argument("--m", type=int, required=True, help="projection rows")
-    p.add_argument("--mode", choices=["fixed", "relative"], default="relative")
-    p.add_argument("--t", type=float, default=0.26, help="threshold (fixed mode / altproj)")
-    p.add_argument("--percent", type=float, default=26.0, help="relative-mode percentile")
-    p.add_argument("--gamma", type=float, default=0.6)
+    _add_optimizer_flags(p)
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=50)
@@ -217,10 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", choices=["sapiro", "elad", "altproj", "fixed"], default="sapiro")
     p.add_argument("--inner-seed", type=int, default=0)
     p.add_argument("--inner-iterations", type=int, default=50)
-    p.add_argument("--mode", choices=["fixed", "relative"], default="relative")
-    p.add_argument("--t", type=float, default=0.26)
-    p.add_argument("--percent", type=float, default=26.0)
-    p.add_argument("--gamma", type=float, default=0.6)
+    _add_optimizer_flags(p)
     p.add_argument("--proj", help="projection matrix CSV for --inner fixed")
     p.set_defaults(func=_cmd_coupled)
     p.add_argument("--out-dir", required=True)

@@ -63,11 +63,7 @@ def t_average_coherence(D, t: float) -> float:
     M = as_matrix(D, "dictionary")
     if M.shape[1] < 2:
         raise TooFewColumns("t-average coherence needs at least two columns")
-    mags = offdiag_magnitudes(gram(M))
-    above = mags[mags > t]
-    if above.size == 0:
-        raise EmptyAverage(f"no off-diagonal magnitude exceeds t={t}")
-    return float(above.mean())
+    return gram_t_average(gram(M), t)
 
 
 def gram_t_average(G: np.ndarray, t: float) -> float:

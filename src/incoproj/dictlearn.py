@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .altproj import AltProjConfig, altproj_optimize
-from .elad import EladConfig, elad_optimize
 from .errors import SingularSystem
 from .linalg import ZERO_TOL, as_matrix, normalize_columns
 from .matrixio import write_csv
+from .optimizers import Arm, design
 from .pursuit import omp
-from .sapiro import sapiro_optimize
 
 
 @dataclass(frozen=True)
@@ -61,31 +59,11 @@ def sense_training_signals(X, P, sigma: float, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SapiroInner:
-    """Select the spectral (non-iterative) optimizer for the projection step."""
-
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class FixedProjection:
-    """Keep a caller-supplied projection fixed across outer iterations."""
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "P", as_matrix(self.P, "projection"))
-
-
-InnerOptimizer = EladConfig | AltProjConfig | SapiroInner | FixedProjection
-
-
-@dataclass(frozen=True)
 class CoupledConfig:
     lam: float
     S: int
     max_outer_iterations: int
-    inner: InnerOptimizer
+    inner: Arm  # how P is refreshed: sapiro, elad, altproj, or fixed
     seed: int
 
     def __post_init__(self):
@@ -258,25 +236,6 @@ def ksvd(
     return D, Theta, KSVDTrace(objective=objective, replacements=tuple(replacements))
 
 
-def _projection_step(D: np.ndarray, inner: InnerOptimizer, m: int) -> np.ndarray:
-    if isinstance(inner, FixedProjection):
-        P = inner.P
-        if P.shape != (m, D.shape[0]):
-            raise ValueError(f"fixed projection shape {P.shape} != ({m}, {D.shape[0]})")
-        return P
-    if isinstance(inner, SapiroInner):
-        return sapiro_optimize(D, m, inner.seed)[0]
-    if isinstance(inner, EladConfig):
-        if inner.m != m:
-            raise ValueError(f"inner optimizer m={inner.m} does not match Y rows m={m}")
-        return elad_optimize(D, inner)[0]
-    if isinstance(inner, AltProjConfig):
-        if inner.m != m:
-            raise ValueError(f"inner optimizer m={inner.m} does not match Y rows m={m}")
-        return altproj_optimize(D, inner)[0]
-    raise TypeError(f"unsupported inner optimizer: {type(inner).__name__}")
-
-
 def coupled_ksvd(
     training: TrainingSet, k: int, cfg: CoupledConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, CoupledTrace]:
@@ -318,7 +277,7 @@ def coupled_ksvd(
     P = np.zeros((m, n))
     prev_obj = np.inf
     for it in range(cfg.max_outer_iterations):
-        P = _projection_step(D, cfg.inner, m)
+        P = design(cfg.inner, D, m)[0]
 
         M = lam * lam * np.eye(n) + P.T @ P
         w = np.linalg.eigvalsh(M)

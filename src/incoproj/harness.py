@@ -18,14 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .altproj import AltProjConfig, altproj_optimize
 from .coherence import offdiag_histogram
-from .elad import EladConfig, FixedThreshold, RelativeThreshold, elad_optimize
 from .errors import ConfigError, IncoprojError
 from .linalg import Dictionary, as_matrix, column_norms, gram
 from .matrixio import read_csv, read_matrix, write_csv, write_histogram
+from .optimizers import Arm, Key, design, lookup
 from .pursuit import basis_pursuit, omp
-from .sapiro import sapiro_optimize
 
 TRIALS_HEADER = [
     "S",
@@ -63,33 +61,8 @@ class FileSource:
     path: str
 
 
-@dataclass(frozen=True)
-class RandomArm:
-    """Baseline: i.i.d. Gaussian projection, no optimization."""
-
-    seed: int | None = None
-    name: str = "none"
-
-
-@dataclass(frozen=True)
-class EladArm:
-    cfg: EladConfig
-    name: str = "elad"
-
-
-@dataclass(frozen=True)
-class SapiroArm:
-    seed: int | None = None
-    name: str = "sapiro"
-
-
-@dataclass(frozen=True)
-class AltProjArm:
-    cfg: AltProjConfig
-    name: str = "altproj"
-
-
-Arm = RandomArm | EladArm | SapiroArm | AltProjArm
+# The optimizers a sweep may run (coupled learning also has "fixed").
+SWEEP_OPTIMIZERS = ("none", "elad", "sapiro", "altproj")
 
 
 @dataclass(frozen=True)
@@ -123,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError("at least one optimizer arm required")
         if len(set(names)) != len(names):
             raise ConfigError("optimizer arm names must be unique")
+        for arm in self.optimizers:
+            entry = lookup(arm.name, SWEEP_OPTIMIZERS)
+            if entry.config:
+                entry.config(arm.params, self.m)  # reject bad values before the sweep runs
 
     @property
     def solvers(self) -> tuple[str, ...]:
@@ -202,8 +179,9 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
         src = GaussianSource(seed=derive_seed(cfg.master_seed, "dictionary"))
     arms = []
     for arm in cfg.optimizers:
-        if isinstance(arm, (RandomArm, SapiroArm)) and arm.seed is None:
-            arm = replace(arm, seed=derive_seed(cfg.master_seed, "arm", arm.name))
+        if "seed" in arm.params and arm.params["seed"] is None:
+            seed = derive_seed(cfg.master_seed, "arm", arm.name)
+            arm = Arm(arm.name, {**arm.params, "seed": seed})
         arms.append(arm)
     return replace(cfg, dictionary_source=src, optimizers=tuple(arms))
 
@@ -222,25 +200,8 @@ def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
 
 
 def arm_projection(arm: Arm, D, m: int) -> np.ndarray:
-    """Materialize the projection matrix for one benchmark arm."""
-    Dd = as_matrix(D, "dictionary")
-    if isinstance(arm, RandomArm):
-        if arm.seed is None:
-            raise ConfigError("random arm seed unresolved; call resolve_config first")
-        return np.random.default_rng(arm.seed).standard_normal((m, Dd.shape[0]))
-    if isinstance(arm, SapiroArm):
-        if arm.seed is None:
-            raise ConfigError("sapiro arm seed unresolved; call resolve_config first")
-        return sapiro_optimize(Dd, m, arm.seed)[0]
-    if isinstance(arm, EladArm):
-        if arm.cfg.m != m:
-            raise ConfigError(f"elad arm m={arm.cfg.m} != experiment m={m}")
-        return elad_optimize(Dd, arm.cfg)[0]
-    if isinstance(arm, AltProjArm):
-        if arm.cfg.m != m:
-            raise ConfigError(f"altproj arm m={arm.cfg.m} != experiment m={m}")
-        return altproj_optimize(Dd, arm.cfg)[0]
-    raise ConfigError(f"unknown arm type {type(arm).__name__}")
+    """Materialize the m-row projection matrix for one benchmark arm."""
+    return design(arm, as_matrix(D, "dictionary"), m)[0]
 
 
 def synthesize_signals(D, S: int, N: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -383,25 +344,8 @@ def config_echo(cfg: ExperimentConfig) -> str:
     put("failure_threshold", repr(cfg.failure_threshold))
     put("master_seed", cfg.master_seed)
     for arm in cfg.optimizers:
-        if isinstance(arm, RandomArm):
-            put("none.seed", arm.seed)
-        elif isinstance(arm, SapiroArm):
-            put("sapiro.seed", arm.seed)
-        elif isinstance(arm, EladArm):
-            mode = arm.cfg.threshold_mode
-            if isinstance(mode, FixedThreshold):
-                put("elad.mode", "fixed")
-                put("elad.t", repr(mode.t))
-            else:
-                put("elad.mode", "relative")
-                put("elad.percent", repr(mode.percent))
-            put("elad.gamma", repr(arm.cfg.gamma))
-            put("elad.iterations", arm.cfg.iterations)
-            put("elad.seed", arm.cfg.seed)
-        elif isinstance(arm, AltProjArm):
-            put("altproj.t", repr(arm.cfg.t))
-            put("altproj.iterations", arm.cfg.iterations)
-            put("altproj.seed", arm.cfg.seed)
+        for key, value in arm.params.items():
+            put(f"{arm.name}.{key}", value if isinstance(value, str) else repr(value))
     return buf.getvalue()
 
 
@@ -469,40 +413,17 @@ _BASE_KEYS = {
     "master_seed",
 }
 _ARM_KEYS = {
-    "none.seed",
-    "elad.mode",
-    "elad.t",
-    "elad.percent",
-    "elad.gamma",
-    "elad.iterations",
-    "elad.seed",
-    "sapiro.seed",
-    "altproj.t",
-    "altproj.iterations",
-    "altproj.seed",
+    f"{name}.{key.name}" for name in SWEEP_OPTIMIZERS for key in lookup(name).keys
 }
 
 
-def _parse_int(kv: dict, key: str, default=None) -> int:
+def _parse(kv: dict, key: str, kind: type, default=None):
+    """``key`` as ``kind``; ``default`` when absent, which None makes required."""
     if key not in kv:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected integer, got {kv[key]!r}") from None
-
-
-def _parse_float(kv: dict, key: str, default=None) -> float:
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected number, got {kv[key]!r}") from None
+    return Key(key, kind).parse(kv[key], key)
 
 
 def _parse_s_range(text: str) -> tuple[int, ...]:
@@ -534,40 +455,9 @@ def _parse_source(text: str) -> GaussianSource | FileSource:
     raise ConfigError(f"dictionary_source {text!r} not 'gaussian[:seed]' or 'file:path'")
 
 
-def _build_arm(name: str, kv: dict, m: int, master_seed: int) -> Arm:
-    if name == "none":
-        seed = _parse_int(kv, "none.seed", derive_seed(master_seed, "arm", "none"))
-        return RandomArm(seed=seed)
-    if name == "sapiro":
-        seed = _parse_int(kv, "sapiro.seed", derive_seed(master_seed, "arm", "sapiro"))
-        return SapiroArm(seed=seed)
-    if name == "elad":
-        mode = kv.get("elad.mode", "relative").strip()
-        if mode == "fixed":
-            threshold = FixedThreshold(_parse_float(kv, "elad.t", 0.26))
-        elif mode == "relative":
-            threshold = RelativeThreshold(_parse_float(kv, "elad.percent", 26.0))
-        else:
-            raise ConfigError(f"elad.mode {mode!r} not 'fixed' or 'relative'")
-        return EladArm(
-            cfg=EladConfig(
-                threshold_mode=threshold,
-                gamma=_parse_float(kv, "elad.gamma", 0.6),
-                iterations=_parse_int(kv, "elad.iterations", 50),
-                m=m,
-                seed=_parse_int(kv, "elad.seed", derive_seed(master_seed, "arm", "elad")),
-            )
-        )
-    if name == "altproj":
-        return AltProjArm(
-            cfg=AltProjConfig(
-                t=_parse_float(kv, "altproj.t", 0.26),
-                m=m,
-                iterations=_parse_int(kv, "altproj.iterations", 300),
-                seed=_parse_int(kv, "altproj.seed", derive_seed(master_seed, "arm", "altproj")),
-            )
-        )
-    raise ConfigError(f"unknown optimizer {name!r} (choose none, elad, sapiro, altproj)")
+def _build_arm(name: str, kv: dict) -> Arm:
+    names = {key.name: f"{name}.{key.name}" for key in lookup(name, SWEEP_OPTIMIZERS).keys}
+    return Arm(name, {key: kv[conf] for key, conf in names.items() if conf in kv})
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -588,23 +478,23 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    m = _parse_int(kv, "m")
-    master_seed = _parse_int(kv, "master_seed", 0)
+    m = _parse(kv, "m", int)
+    master_seed = _parse(kv, "master_seed", int, 0)
     if "optimizers" not in kv:
         raise ConfigError("missing required key 'optimizers'")
     arm_names = [tok.strip() for tok in kv["optimizers"].split(",") if tok.strip()]
-    arms = tuple(_build_arm(name, kv, m, master_seed) for name in arm_names)
+    arms = tuple(_build_arm(name, kv) for name in arm_names)
 
     cfg = ExperimentConfig(
-        n=_parse_int(kv, "n"),
-        k=_parse_int(kv, "k"),
+        n=_parse(kv, "n", int),
+        k=_parse(kv, "k", int),
         m=m,
         S_range=_parse_s_range(kv.get("S_range", "") or _missing("S_range")),
-        N=_parse_int(kv, "N"),
+        N=_parse(kv, "N", int),
         dictionary_source=_parse_source(kv.get("dictionary_source", "gaussian")),
         optimizers=arms,
         solver=kv.get("solver", "both").strip(),
-        failure_threshold=_parse_float(kv, "failure_threshold", 1e-4),
+        failure_threshold=_parse(kv, "failure_threshold", float, 1e-4),
         master_seed=master_seed,
     )
     return resolve_config(cfg)

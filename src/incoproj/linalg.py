@@ -61,30 +61,6 @@ class Dictionary:
         return np.asarray(self.data, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class ProjectionMatrix:
-    """m x n sensing operator mapping signals to compressed measurements."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.data, "projection")
-        if m.shape[0] < 1:
-            raise ValueError("projection needs at least one row")
-        object.__setattr__(self, "data", m)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.data, dtype=dtype)
-
-
 def column_norms(M: np.ndarray) -> np.ndarray:
     return np.linalg.norm(M, axis=0)
 

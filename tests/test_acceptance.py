@@ -26,15 +26,8 @@ from incoproj import (
 )
 from incoproj.altproj import AltProjConfig
 from incoproj.elad import EladConfig, FixedThreshold, RelativeThreshold
-from incoproj.harness import (
-    AltProjArm,
-    EladArm,
-    ExperimentConfig,
-    GaussianSource,
-    RandomArm,
-    SapiroArm,
-    run_sweep,
-)
+from incoproj.harness import ExperimentConfig, GaussianSource, run_sweep
+from incoproj.optimizers import Arm
 from incoproj.cli import main
 
 from synthetic import gaussian_dictionary, incoherent_frame, planted_signals
@@ -231,18 +224,10 @@ DESK_ARMS = ("elad", "sapiro", "altproj")
 @pytest.fixture(scope="module")
 def desk_sweep():
     arms = (
-        RandomArm(),
-        EladArm(
-            EladConfig(
-                threshold_mode=RelativeThreshold(26.0),
-                gamma=0.6,
-                iterations=50,
-                m=12,
-                seed=7,
-            )
-        ),
-        SapiroArm(seed=7),
-        AltProjArm(AltProjConfig(t=0.3, m=12, iterations=300, seed=7)),
+        Arm("none"),
+        Arm("elad", dict(mode="relative", percent=26.0, gamma=0.6, iterations=50, seed=7)),
+        Arm("sapiro", dict(seed=7)),
+        Arm("altproj", dict(t=0.3, iterations=300, seed=7)),
     )
     cfg = ExperimentConfig(
         n=50,

@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
+    Arm,
     CoupledConfig,
-    FixedProjection,
-    SapiroInner,
     TrainingSet,
     atom_update_sweep,
     coupled_ksvd,
@@ -15,7 +14,6 @@ from incoproj import (
     sense_training_signals,
     sparse_code,
 )
-from incoproj.elad import EladConfig, FixedThreshold
 from incoproj.errors import SingularSystem
 
 from synthetic import incoherent_frame, planted_signals
@@ -231,7 +229,7 @@ class TestCoupledKSVD:
     def test_requires_projected_samples(self):
         ts = TrainingSet(X=np.ones((4, 20)))
         cfg = CoupledConfig(lam=0.5, S=1, max_outer_iterations=1,
-                            inner=SapiroInner(seed=0), seed=0)
+                            inner=Arm("sapiro", {"seed": 0}), seed=0)
         with pytest.raises(ValueError):
             coupled_ksvd(ts, 8, cfg)
 
@@ -239,7 +237,7 @@ class TestCoupledKSVD:
         for bad in (dict(lam=-0.1), dict(lam=1.5), dict(S=0),
                     dict(max_outer_iterations=0)):
             kw = dict(lam=0.5, S=1, max_outer_iterations=1,
-                      inner=SapiroInner(seed=0), seed=0)
+                      inner=Arm("sapiro", {"seed": 0}), seed=0)
             kw.update(bad)
             with pytest.raises(ValueError):
                 CoupledConfig(**kw)
@@ -247,16 +245,7 @@ class TestCoupledKSVD:
     def test_fixed_projection_shape_checked(self):
         ts = make_training(seed=14)
         cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=1,
-                            inner=FixedProjection(np.ones((3, 3))), seed=0)
-        with pytest.raises(ValueError):
-            coupled_ksvd(ts, 40, cfg)
-
-    def test_inner_row_count_mismatch(self):
-        ts = make_training(m=8, seed=15)
-        inner = EladConfig(m=5, threshold_mode=FixedThreshold(0.3), gamma=0.6,
-                           iterations=5, seed=0)
-        cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=1,
-                            inner=inner, seed=0)
+                            inner=Arm("fixed", {"P": np.ones((3, 3))}), seed=0)
         with pytest.raises(ValueError):
             coupled_ksvd(ts, 40, cfg)
 
@@ -279,7 +268,7 @@ class TestCoupledKSVD:
         X = rng.standard_normal((n, p))
         ts = TrainingSet(X=X, Y=X.copy())
         cfg = CoupledConfig(lam=1.0, S=2, max_outer_iterations=4,
-                            inner=FixedProjection(np.eye(n)), seed=5)
+                            inner=Arm("fixed", {"P": np.eye(n)}), seed=5)
         P, D, Theta, trace = coupled_ksvd(ts, k, cfg)
         assert np.array_equal(P, np.eye(n))
         assert np.array_equal(trace.term1, trace.term2)
@@ -295,7 +284,7 @@ class TestCoupledKSVD:
         X = rng.standard_normal((n, p))
         Y = Q @ X
         cfg = CoupledConfig(lam=0.0, S=2, max_outer_iterations=3,
-                            inner=FixedProjection(Q), seed=6)
+                            inner=Arm("fixed", {"P": Q}), seed=6)
         _, _, Theta_a, _ = coupled_ksvd(TrainingSet(X=X, Y=Y), k, cfg)
         X_perturbed = X + rng.standard_normal(X.shape)
         _, _, Theta_b, _ = coupled_ksvd(TrainingSet(X=X_perturbed, Y=Y), k, cfg)
@@ -306,7 +295,7 @@ class TestCoupledKSVD:
         rng = np.random.default_rng(20)
         P = rng.standard_normal((8, 20))
         cfg = CoupledConfig(lam=0.0, S=3, max_outer_iterations=2,
-                            inner=FixedProjection(P), seed=0)
+                            inner=Arm("fixed", {"P": P}), seed=0)
         with pytest.raises(SingularSystem):
             coupled_ksvd(ts, 40, cfg)
 
@@ -322,7 +311,7 @@ class TestCoupledKSVD:
             ts = make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01,
                                seed=100 + seed)
             cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=10,
-                                inner=SapiroInner(seed=0), seed=seed)
+                                inner=Arm("sapiro", {"seed": 0}), seed=seed)
             P, D, Theta, trace = coupled_ksvd(ts, 40, cfg)
             assert len(trace.term1) == len(trace.term2) >= 1
             assert np.isfinite(trace.term1).all()
@@ -341,7 +330,7 @@ class TestCoupledKSVD:
         ts = TrainingSet(X=ts.X, Y=sense_training_signals(ts.X, P, 0.01, 7),
                          sigma=0.01)
         cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=10,
-                            inner=FixedProjection(P), seed=1)
+                            inner=Arm("fixed", {"P": P}), seed=1)
         _, _, _, trace = coupled_ksvd(ts, 40, cfg)
         obj = cfg.lam**2 * trace.term1 + trace.term2
         assert obj[-1] < 0.7 * obj[0]
@@ -349,7 +338,7 @@ class TestCoupledKSVD:
     def test_trace_csv_layout(self, tmp_path):
         ts = make_training(seed=22)
         cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=2,
-                            inner=SapiroInner(seed=0), seed=2)
+                            inner=Arm("sapiro", {"seed": 0}), seed=2)
         _, _, _, trace = coupled_ksvd(ts, 40, cfg)
         out = tmp_path / "coupled.csv"
         trace.to_csv(out)

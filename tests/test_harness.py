@@ -6,14 +6,11 @@ from incoproj.cli import main
 from incoproj.matrixio import write_matrix
 from incoproj.errors import ConfigError
 from incoproj.harness import (
-    AltProjArm,
-    EladArm,
     ExperimentConfig,
     FileSource,
     GaussianSource,
-    RandomArm,
-    SapiroArm,
     arm_projection,
+    config_echo,
     derive_seed,
     emit_reports,
     load_dictionary,
@@ -24,8 +21,8 @@ from incoproj.harness import (
     summarize,
     synthesize_signals,
 )
-from incoproj.altproj import AltProjConfig
-from incoproj.elad import EladConfig, FixedThreshold, RelativeThreshold
+from incoproj import cli
+from incoproj.optimizers import Arm
 
 
 class TestDeriveSeed:
@@ -78,7 +75,7 @@ def tiny_config(**overrides):
         S_range=(1,),
         N=4,
         dictionary_source=GaussianSource(seed=5),
-        optimizers=(RandomArm(), SapiroArm()),
+        optimizers=(Arm("none"), Arm("sapiro")),
         solver="both",
         master_seed=11,
     )
@@ -104,7 +101,8 @@ class TestExperimentConfig:
             dict(N=0),
             dict(solver="cosamp"),
             dict(optimizers=()),
-            dict(optimizers=(RandomArm(), RandomArm())),  # duplicate names
+            dict(optimizers=(Arm("none"), Arm("none"))),  # duplicate names
+            dict(optimizers=(Arm("fixed", {"P": np.eye(4, 6)}),)),  # coupled-only entry
         ],
     )
     def test_rejects_bad_fields(self, overrides):
@@ -116,12 +114,12 @@ class TestResolveConfig:
     def test_fills_unset_seeds_from_master(self):
         cfg = resolve_config(tiny_config(dictionary_source=GaussianSource()))
         assert cfg.dictionary_source.seed == derive_seed(11, "dictionary")
-        assert cfg.optimizers[0].seed == derive_seed(11, "arm", "none")
-        assert cfg.optimizers[1].seed == derive_seed(11, "arm", "sapiro")
+        assert cfg.optimizers[0].params["seed"] == derive_seed(11, "arm", "none")
+        assert cfg.optimizers[1].params["seed"] == derive_seed(11, "arm", "sapiro")
 
     def test_existing_seeds_kept(self):
-        cfg = resolve_config(tiny_config(optimizers=(RandomArm(seed=123),)))
-        assert cfg.optimizers[0].seed == 123
+        cfg = resolve_config(tiny_config(optimizers=(Arm("none", {"seed": 123}),)))
+        assert cfg.optimizers[0].params["seed"] == 123
         assert cfg.dictionary_source.seed == 5
 
     def test_idempotent(self):
@@ -132,18 +130,11 @@ class TestResolveConfig:
 class TestArmProjection:
     def test_unresolved_random_arm_rejected(self):
         with pytest.raises(ConfigError):
-            arm_projection(RandomArm(), np.eye(4), 2)
-
-    def test_elad_arm_row_mismatch(self):
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.3), gamma=0.6, iterations=2, m=3, seed=0
-        )
-        with pytest.raises(ConfigError):
-            arm_projection(EladArm(cfg), np.eye(4), 2)
+            arm_projection(Arm("none"), np.eye(4), 2)
 
     def test_random_arm_shape_and_determinism(self):
-        P1 = arm_projection(RandomArm(seed=9), np.ones((5, 8)), 3)
-        P2 = arm_projection(RandomArm(seed=9), np.ones((5, 8)), 3)
+        P1 = arm_projection(Arm("none", {"seed": 9}), np.ones((5, 8)), 3)
+        P2 = arm_projection(Arm("none", {"seed": 9}), np.ones((5, 8)), 3)
         assert P1.shape == (3, 5)
         assert np.array_equal(P1, P2)
 
@@ -252,11 +243,20 @@ class TestEmitReports:
         summary_header = (tmp_path / "summary.csv").read_text().splitlines()[0]
         assert summary_header == "optimizer_name,solver_name,S,mean_relative_error,failure_rate,trial_count"
 
-    def test_config_echo_reparses_to_same_experiment(self, tmp_path):
-        records, summary = run_sweep(tiny_config())
+    @staticmethod
+    def _assert_echo_round_trips(tmp_path, make_config):
+        records, summary = run_sweep(make_config())
         emit_reports(records, summary, tmp_path)
-        text = (tmp_path / "config.echo").read_text()
-        assert parse_config_text(text) == resolve_config(tiny_config())
+        raw = (tmp_path / "config.echo").read_bytes()
+        reparsed = parse_config_text(raw.decode())
+        assert reparsed == resolve_config(make_config())
+        assert config_echo(reparsed).encode() == raw
+
+    def test_config_echo_reparses_to_same_experiment(self, tmp_path):
+        self._assert_echo_round_trips(tmp_path, tiny_config)
+
+    def test_config_text_echo_reparses_to_same_experiment(self, tmp_path):
+        self._assert_echo_round_trips(tmp_path, lambda: parse_config_text(CONFIG_TEXT))
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -295,13 +295,17 @@ class TestConfigParsing:
         assert cfg.solver == "omp"
         assert cfg.master_seed == 7
         none_arm, elad_arm, alt_arm = cfg.optimizers
-        assert none_arm.seed == derive_seed(7, "arm", "none")
-        assert elad_arm.cfg.threshold_mode == FixedThreshold(0.3)
-        assert elad_arm.cfg.gamma == 0.6  # default
-        assert elad_arm.cfg.iterations == 4
-        assert elad_arm.cfg.m == 4
-        assert alt_arm.cfg.t == 0.45
-        assert alt_arm.cfg.iterations == 20
+        assert none_arm.params["seed"] == derive_seed(7, "arm", "none")
+        assert (elad_arm.params["mode"], elad_arm.params["t"]) == ("fixed", 0.3)
+        assert "percent" not in elad_arm.params  # belongs to relative mode
+        assert elad_arm.params["gamma"] == 0.6  # default
+        assert elad_arm.params["iterations"] == 4
+        # arms carry no m: each projection gets the experiment's
+        D = load_dictionary(cfg)
+        for arm in cfg.optimizers:
+            assert arm_projection(arm, D, cfg.m).shape == (4, 6)
+        assert alt_arm.params["t"] == 0.45
+        assert alt_arm.params["iterations"] == 20
 
     def test_s_range_comma_form(self):
         cfg = parse_config_text(CONFIG_TEXT.replace("S_range = 1-2", "S_range = 1,3"))
@@ -310,7 +314,9 @@ class TestConfigParsing:
     def test_relative_mode_default(self):
         text = CONFIG_TEXT.replace("elad.mode = fixed\n", "").replace("elad.t = 0.3\n", "")
         cfg = parse_config_text(text)
-        assert cfg.optimizers[1].cfg.threshold_mode == RelativeThreshold(26.0)
+        elad_arm = cfg.optimizers[1]
+        assert (elad_arm.params["mode"], elad_arm.params["percent"]) == ("relative", 26.0)
+        assert "t" not in elad_arm.params
 
     @pytest.mark.parametrize(
         "mutation",
@@ -329,6 +335,13 @@ class TestConfigParsing:
     def test_malformed_documents_rejected(self, mutation):
         with pytest.raises(ConfigError):
             parse_config_text(mutation(CONFIG_TEXT))
+
+    def test_out_of_range_arm_values_rejected_at_parse(self):
+        # checked before any arm runs, not when the sweep reaches the arm
+        with pytest.raises(ValueError, match="gamma"):
+            parse_config_text(CONFIG_TEXT + "elad.gamma = 1.5\n")
+        with pytest.raises(ValueError, match="t must be"):
+            parse_config_text(CONFIG_TEXT.replace("altproj.t = 0.45", "altproj.t = 1.45"))
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError):
@@ -400,6 +413,19 @@ class TestCLI:
             assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
         assert len(read_trials(out_a / "trials.csv")) == 3 * 2 * 3  # arms x S x N
+
+    def test_bench_paper_scale_with_other_m(self, tmp_path, monkeypatch):
+        # the config's m (4) differs from the paper-scale m; arms take the
+        # experiment's m at design time instead of carrying their own
+        monkeypatch.setattr(cli, "PAPER_SCALE", dict(n=7, k=14, m=5, N=2, S_range=(1, 2)))
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(CONFIG_TEXT)
+        out = tmp_path / "paper"
+        rc = main(["bench", "--config", str(cfg_path), "--out-dir", str(out), "--paper-scale"])
+        assert rc == 0
+        echo = (out / "config.echo").read_text()
+        assert "m = 5\n" in echo and "optimizers = none,elad,altproj\n" in echo
+        assert len(read_trials(out / "trials.csv")) == 3 * 2 * 2  # arms x S x N
 
     def test_bench_missing_config(self, tmp_path, capsys):
         rc = main(["bench", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from incoproj import Dictionary, ProjectionMatrix
+from incoproj import Dictionary
 from incoproj.errors import InvalidRank, NotPSD, ZeroColumn
 from incoproj.linalg import (
     as_matrix,
@@ -44,12 +44,6 @@ class TestDictionaryType:
         with pytest.raises(ZeroColumn) as exc:
             Dictionary(M)
         assert exc.value.index == 1
-
-    def test_projection_matrix_needs_rows(self):
-        with pytest.raises(ValueError):
-            ProjectionMatrix(np.ones((0, 5)))
-        P = ProjectionMatrix(np.ones((3, 5)))
-        assert P.m == 3
 
 
 class TestColumnOps:
