@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateDiagonal, EmptyAverage, RankExceeded
 from .coherence import gram_t_average, offdiag_magnitudes
 from .linalg import as_matrix, lsq_projection, sqrt_factor, symmetric_rank_truncate
-from .matrixio import write_csv
+from .matrixio import Trace
 
 
 @dataclass(frozen=True)
@@ -33,21 +33,6 @@ class AltProjConfig:
             raise ValueError("m must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class AltProjTrace:
-    """Per-iteration max off-diagonal magnitude and mu_t of the normalized Gram."""
-
-    max_offdiag: np.ndarray
-    mu_t: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.max_offdiag)
-
-    def to_csv(self, path) -> None:
-        rows = zip(range(len(self.max_offdiag)), self.max_offdiag, self.mu_t)
-        write_csv(path, ["iter", "max_offdiag", "mu_t"], rows)
 
 
 def project_convex(G, t: float) -> np.ndarray:
@@ -110,7 +95,7 @@ def recover_projection(G, D, m: int) -> np.ndarray:
     return lsq_projection(S, D)
 
 
-def altproj_optimize(D, cfg: AltProjConfig) -> tuple[np.ndarray, AltProjTrace]:
+def altproj_optimize(D, cfg: AltProjConfig) -> tuple[np.ndarray, Trace]:
     """Alternate convex / rank projections from a seeded random symmetric start.
 
     Returns the recovered projection matrix and a per-iteration trace of
@@ -141,4 +126,4 @@ def altproj_optimize(D, cfg: AltProjConfig) -> tuple[np.ndarray, AltProjTrace]:
             mu_t[q] = float("nan")
 
     P = recover_projection(normalize_gram(G), Dd, cfg.m)
-    return P, AltProjTrace(max_offdiag=max_off, mu_t=mu_t)
+    return P, Trace({"max_offdiag": max_off, "mu_t": mu_t})

@@ -47,7 +47,7 @@ def _cmd_design(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
     P, trace = design(arm, D, args.m)
-    OPTIMIZERS[args.method].write_trace(os.path.join(args.out_dir, "trace.csv"), trace)
+    trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
 
     write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
     report = coherence_report(P @ D.data, t=args.t, bins=args.bins)

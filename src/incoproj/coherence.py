@@ -23,6 +23,20 @@ def offdiag_magnitudes(G: np.ndarray) -> np.ndarray:
     return np.abs(G[iu])
 
 
+def _dictionary_gram(D, what: str) -> np.ndarray:
+    M = as_matrix(D, "dictionary")
+    if M.shape[1] < 2:
+        raise TooFewColumns(f"{what} needs at least two columns")
+    return gram(M)
+
+
+def _max_offdiag(G: np.ndarray) -> tuple[float, tuple[int, int]]:
+    iu = np.triu_indices(G.shape[0], 1)
+    mags = np.abs(G[iu])
+    pos = int(np.argmax(mags))  # argmax returns the first max: lexicographic winner
+    return min(float(mags[pos]), 1.0), (int(iu[0][pos]), int(iu[1][pos]))
+
+
 def mutual_coherence(D) -> tuple[float, tuple[int, int]]:
     """Largest absolute normalized inner product between distinct columns.
 
@@ -36,16 +50,7 @@ def mutual_coherence(D) -> tuple[float, tuple[int, int]]:
     ZeroColumn
         Propagated from normalization.
     """
-    M = as_matrix(D, "dictionary")
-    k = M.shape[1]
-    if k < 2:
-        raise TooFewColumns("mutual coherence needs at least two columns")
-    G = gram(M)
-    iu = np.triu_indices(k, 1)
-    mags = np.abs(G[iu])
-    pos = int(np.argmax(mags))  # argmax returns the first max: lexicographic winner
-    mu = min(float(mags[pos]), 1.0)
-    return mu, (int(iu[0][pos]), int(iu[1][pos]))
+    return _max_offdiag(_dictionary_gram(D, "mutual coherence"))
 
 
 def t_average_coherence(D, t: float) -> float:
@@ -60,10 +65,7 @@ def t_average_coherence(D, t: float) -> float:
     """
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    M = as_matrix(D, "dictionary")
-    if M.shape[1] < 2:
-        raise TooFewColumns("t-average coherence needs at least two columns")
-    return gram_t_average(gram(M), t)
+    return gram_t_average(_dictionary_gram(D, "t-average coherence"), t)
 
 
 def gram_t_average(G: np.ndarray, t: float) -> float:
@@ -137,11 +139,13 @@ class CoherenceReport:
 
 def coherence_report(D, t: float, bins: int = 50) -> CoherenceReport:
     """Mutual coherence, t-average (None when empty), and magnitude histogram."""
-    M = as_matrix(D, "dictionary")
-    mu, pair = mutual_coherence(M)
+    G = _dictionary_gram(D, "mutual coherence")
+    mu, pair = _max_offdiag(G)
+    if t < 0:
+        raise ValueError("threshold must be nonnegative")
     try:
-        mu_t = t_average_coherence(M, t)
+        mu_t = gram_t_average(G, t)
     except EmptyAverage:
         mu_t = None
-    hist = offdiag_histogram(gram(M), bins)
+    hist = offdiag_histogram(G, bins)
     return CoherenceReport(mu=mu, argmax_pair=pair, t=t, mu_t=mu_t, histogram=hist)

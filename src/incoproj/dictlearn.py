@@ -1,25 +1,26 @@
 """Dictionary learning: K-SVD and its coupled variant that co-trains the
 projection matrix.
 
-Both learners alternate OMP sparse coding with sequential rank-one atom
-updates.  The coupled variant works on the stacked data [lambda*X; Y]
-against the stacked dictionary [lambda*I; P] @ D, refreshing P each outer
-iteration with one of the projection optimizers, and mapping every updated
-stacked atom back to signal space through the overdetermined system
-(lambda^2*I + P.T P) d = [lambda*I, P.T] d_stacked.
+Both learners alternate OMP sparse coding with one sweep of rank-one atom
+updates (:func:`atom_update_sweep`).  The coupled variant works on the
+stacked data [lambda*X; Y] against the stacked dictionary [lambda*I; P] @ D,
+refreshing P each outer iteration with one of the projection optimizers;
+its sweep maps every updated stacked atom back to signal space through the
+overdetermined system (lambda^2*I + P.T P) d = [lambda*I, P.T] d_stacked.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SingularSystem
 from .linalg import ZERO_TOL, as_matrix, normalize_columns
-from .matrixio import write_csv
+from .matrixio import Trace
 from .optimizers import Arm, design
 from .pursuit import omp
 
@@ -75,33 +76,6 @@ class CoupledConfig:
             raise ValueError("max_outer_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class KSVDTrace:
-    objective: np.ndarray
-    # (outer iteration, atom index) of every unused-atom re-initialization
-    replacements: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.objective)
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["iter", "objective"], enumerate(self.objective))
-
-
-@dataclass(frozen=True)
-class CoupledTrace:
-    term1: np.ndarray  # ||X - D Theta||_F^2
-    term2: np.ndarray  # ||Y - P D Theta||_F^2
-    replacements: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.term1)
-
-    def to_csv(self, path) -> None:
-        rows = zip(range(len(self.term1)), self.term1, self.term2)
-        write_csv(path, ["iter", "term1", "term2"], rows)
-
-
 def sparse_code(signals: np.ndarray, D: np.ndarray, S: int) -> np.ndarray:
     """Code every column of ``signals`` against D with S-sparse OMP."""
     k = D.shape[1]
@@ -124,6 +98,7 @@ def atom_update_sweep(
     D: np.ndarray,
     Theta: np.ndarray,
     rng: np.random.Generator,
+    backmap: tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> list[int]:
     """One in-place pass of rank-one atom updates; returns re-initialized atom indices.
 
@@ -133,29 +108,49 @@ def atom_update_sweep(
     coefficients become sigma1 times the right one.  The support of each
     coefficient row never grows.  Unused atoms are replaced by the
     worst-represented training column, normalized.
+
+    ``backmap = (W, solve)`` runs the sweep on a lifted problem: X is
+    fitted by (W @ D) @ Theta, and every lifted atom or training column u
+    returns to the columns of D as solve(u), normalized, with the
+    coefficient row scaled by the norm it had.  An atom whose solve is
+    numerically zero is re-seeded at random and its row cleared.  Without
+    a backmap the atom is u itself at scale exactly 1.0 (plain K-SVD).
     """
-    R = X - D @ Theta
+    W, solve = backmap if backmap is not None else (None, None)
+    A = D if W is None else W @ D  # the dictionary that X is fitted by
+    R = X - A @ Theta
     replaced: list[int] = []
     for j in range(D.shape[1]):
         row = Theta[j]
         omega = np.flatnonzero(row)
-        if omega.size == 0:
-            worst = int(np.argmax(np.sum(R * R, axis=0)))
-            col = X[:, worst]
-            nrm = float(np.linalg.norm(col))
-            if nrm <= ZERO_TOL:
-                col = rng.standard_normal(X.shape[0])
-                nrm = float(np.linalg.norm(col))
-            D[:, j] = col / nrm
-            replaced.append(j)
-            continue
-        E = R[:, omega] + np.outer(D[:, j], row[omega])
-        U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-        u, v = _fix_svd_signs(U[:, 0], Vt[0])
-        D[:, j] = u
-        Theta[j, omega] = sv[0] * v
-        R[:, omega] = E - np.outer(u, sv[0] * v)
+        if omega.size:
+            E = R[:, omega] + np.outer(A[:, j], row[omega])
+            U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+            u, v = _fix_svd_signs(U[:, 0], Vt[0])
+            d, nrm = (u, 1.0) if solve is None else _with_norm(solve(u))
+            if nrm > ZERO_TOL:
+                D[:, j] = d / nrm
+                Theta[j, omega] = sv[0] * v * nrm
+                if W is not None:
+                    A[:, j] = W @ D[:, j]
+                R[:, omega] = E - np.outer(A[:, j], Theta[j, omega])
+                continue
+            Theta[j, omega] = 0.0
+            R[:, omega] = E
+        else:
+            worst = X[:, int(np.argmax(np.sum(R * R, axis=0)))]
+            d, nrm = _with_norm(worst if solve is None else solve(worst))
+        if nrm <= ZERO_TOL:
+            d, nrm = _with_norm(rng.standard_normal(D.shape[0]))
+        D[:, j] = d / nrm
+        if W is not None:
+            A[:, j] = W @ D[:, j]
+        replaced.append(j)
     return replaced
+
+
+def _with_norm(d: np.ndarray) -> tuple[np.ndarray, float]:
+    return d, float(np.linalg.norm(d))
 
 
 def purge_duplicate_atoms(
@@ -196,9 +191,7 @@ def purge_duplicate_atoms(
     return replaced
 
 
-def ksvd(
-    X, k: int, S: int, iterations: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, KSVDTrace]:
+def ksvd(X, k: int, S: int, iterations: int, seed: int) -> tuple[np.ndarray, np.ndarray, Trace]:
     """Learn an n x k dictionary by alternating OMP coding and atom updates.
 
     Returns ``(D, Theta, trace)`` where the trace holds the representation
@@ -207,8 +200,6 @@ def ksvd(
     offending atom with the worst-represented training column and show up
     in ``trace.replacements``.
     """
-    if isinstance(X, TrainingSet):
-        X = X.X
     X = as_matrix(X, "training signals")
     n, p = X.shape
     if k < 1 or S < 1 or iterations < 1:
@@ -233,17 +224,17 @@ def ksvd(
             # recorded objective.
             for j in purge_duplicate_atoms(X, D, Theta, rng):
                 replacements.append((it, j))
-    return D, Theta, KSVDTrace(objective=objective, replacements=tuple(replacements))
+    return D, Theta, Trace({"objective": objective}, replacements=tuple(replacements))
 
 
 def coupled_ksvd(
     training: TrainingSet, k: int, cfg: CoupledConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, CoupledTrace]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Trace]:
     """Jointly learn projection P and dictionary D from (X, Y) pairs.
 
     Per outer iteration: refresh P on the current D with the configured
     optimizer; OMP-code the stacked data [lam*X; Y] against [lam*I; P] @ D;
-    run the rank-one atom sweep on the stacked problem, recovering each
+    run :func:`atom_update_sweep` on the stacked problem, recovering each
     signal-space atom through the overdetermined solve and renormalizing
     (coefficient row picks up the pre-normalization atom norm).
 
@@ -251,7 +242,8 @@ def coupled_ksvd(
     by less than a relative 1e-6.
 
     Returns ``(P, D, Theta, trace)``; the trace records both error terms
-    per outer iteration.
+    per outer iteration: ``term1`` = ||X - D Theta||_F^2 and ``term2`` =
+    ||Y - P D Theta||_F^2.
 
     Raises
     ------
@@ -290,41 +282,10 @@ def coupled_ksvd(
         # top block must not leak X's sign bits into LAPACK branch choices,
         # or Theta loses its exact invariance to X.
         Z = np.vstack([lam * X + 0.0, Y])
-        WD = W @ D
-        Theta = sparse_code(Z, WD, cfg.S)
-        R = Z - WD @ Theta
-        for j in range(k):
-            row = Theta[j]
-            omega = np.flatnonzero(row)
-            if omega.size == 0:
-                worst = int(np.argmax(np.sum(R * R, axis=0)))
-                d = scipy.linalg.cho_solve(M_factor, W.T @ Z[:, worst])
-                nrm = float(np.linalg.norm(d))
-                if nrm <= ZERO_TOL:
-                    d = rng.standard_normal(n)
-                    nrm = float(np.linalg.norm(d))
-                D[:, j] = d / nrm
-                WD[:, j] = W @ D[:, j]
-                replacements.append((it, j))
-                continue
-            E = R[:, omega] + np.outer(WD[:, j], row[omega])
-            U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-            u, v = _fix_svd_signs(U[:, 0], Vt[0])
-            d = scipy.linalg.cho_solve(M_factor, W.T @ u)
-            nrm = float(np.linalg.norm(d))
-            if nrm <= ZERO_TOL:
-                d = rng.standard_normal(n)
-                nrm = float(np.linalg.norm(d))
-                Theta[j, omega] = 0.0
-                D[:, j] = d / nrm
-                WD[:, j] = W @ D[:, j]
-                R[:, omega] = E
-                replacements.append((it, j))
-                continue
-            D[:, j] = d / nrm
-            Theta[j, omega] = sv[0] * v * nrm
-            WD[:, j] = W @ D[:, j]
-            R[:, omega] = E - np.outer(WD[:, j], Theta[j, omega])
+        Theta = sparse_code(Z, W @ D, cfg.S)
+        backmap = (W, lambda u: scipy.linalg.cho_solve(M_factor, W.T @ u))
+        for j in atom_update_sweep(Z, D, Theta, rng, backmap):
+            replacements.append((it, j))
 
         dtheta = D @ Theta
         t1 = float(np.sum((X - dtheta) ** 2))
@@ -340,9 +301,5 @@ def coupled_ksvd(
             break
         prev_obj = obj
 
-    trace = CoupledTrace(
-        term1=np.asarray(term1_hist),
-        term2=np.asarray(term2_hist),
-        replacements=tuple(replacements),
-    )
+    trace = Trace({"term1": term1_hist, "term2": term2_hist}, replacements=tuple(replacements))
     return P, D, Theta, trace

@@ -20,7 +20,7 @@ from .linalg import (
     symmetric_rank_truncate,
 )
 from .coherence import offdiag_magnitudes, relative_threshold
-from .matrixio import write_csv
+from .matrixio import Trace
 
 
 @dataclass(frozen=True)
@@ -64,26 +64,6 @@ class EladConfig:
             raise ValueError("m must be >= 1")
 
 
-@dataclass(frozen=True)
-class OptimizerTrace:
-    """Per-iteration diagnostics: threshold used, and mu_t / mu of P @ D after the update.
-
-    ``mu_t`` entries are NaN for iterations where no off-diagonal magnitude
-    exceeded the threshold.
-    """
-
-    mu_t: np.ndarray
-    mu: np.ndarray
-    threshold: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mu_t)
-
-    def to_csv(self, path) -> None:
-        rows = zip(range(len(self.mu_t)), self.mu_t, self.mu, self.threshold)
-        write_csv(path, ["iter", "mu_t", "mu", "threshold"], rows)
-
-
 def shrink_elad(g, t: float, gamma: float):
     """Entrywise shrinkage: |g| >= t -> gamma*g; t > |g| >= gamma*t -> gamma*t*sign(g); else g.
 
@@ -109,7 +89,15 @@ def _shrink_offdiag(G: np.ndarray, t: float, gamma: float) -> np.ndarray:
     return out
 
 
-def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, OptimizerTrace]:
+def _effective_gram(P: np.ndarray, Dd: np.ndarray, q: int) -> np.ndarray:
+    """Gram of the normalized columns of P @ D; ZeroColumn names iteration q."""
+    try:
+        return gram(P @ Dd)
+    except ZeroColumn as exc:
+        raise ZeroColumn(exc.index, f"effective dictionary at iteration {q}") from exc
+
+
+def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, Trace]:
     """Run the shrinkage loop for cfg.iterations and return (P, trace).
 
     Each iteration: normalize the columns of P @ D, build the Gram, pick
@@ -118,7 +106,8 @@ def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, OptimizerTrace]:
     root, and solve the least-squares problem for the next P.
 
     The trace records, for every iteration, the threshold used and the
-    mu_t / mu of the updated effective dictionary at that threshold.
+    mu_t / mu of the updated effective dictionary at that threshold;
+    ``mu_t`` is NaN where no off-diagonal magnitude exceeded it.
 
     Raises
     ------
@@ -135,14 +124,11 @@ def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, OptimizerTrace]:
     rng = np.random.default_rng(cfg.seed)
     P = rng.standard_normal((cfg.m, n))
 
+    G = _effective_gram(P, Dd, 0)
     mu_t_hist: list[float] = []
     mu_hist: list[float] = []
     thr_hist: list[float] = []
     for q in range(cfg.iterations):
-        try:
-            G = gram(P @ Dd)
-        except ZeroColumn as exc:
-            raise ZeroColumn(exc.index, f"effective dictionary at iteration {q}") from exc
         if isinstance(cfg.threshold_mode, FixedThreshold):
             t = cfg.threshold_mode.t
         else:
@@ -157,17 +143,12 @@ def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, OptimizerTrace]:
         S = sqrt_factor(reduced, cfg.m)
         P = lsq_projection(S, Dd)
 
-        try:
-            Gnew = gram(P @ Dd)
-        except ZeroColumn as exc:
-            raise ZeroColumn(exc.index, f"effective dictionary at iteration {q}") from exc
-        mags = offdiag_magnitudes(Gnew)
+        # The updated Gram is also the next iteration's starting Gram.
+        G = _effective_gram(P, Dd, q)
+        mags = offdiag_magnitudes(G)
         above = mags[mags > t]
         mu_t_hist.append(float(above.mean()) if above.size else float("nan"))
         mu_hist.append(min(float(mags.max()), 1.0))
         thr_hist.append(float(t))
 
-    trace = OptimizerTrace(
-        mu_t=np.asarray(mu_t_hist), mu=np.asarray(mu_hist), threshold=np.asarray(thr_hist)
-    )
-    return P, trace
+    return P, Trace({"mu_t": mu_t_hist, "mu": mu_hist, "threshold": thr_hist})

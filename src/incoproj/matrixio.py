@@ -1,4 +1,4 @@
-"""Plain-text serialization: matrices, CSV tables, histograms.
+"""Plain-text serialization: matrices, CSV tables, histograms, iteration traces.
 
 Matrix files are header-less CSV, one matrix row per line, 17 significant
 digits (round-trips float64 exactly).  Tabular CSVs carry a header line,
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,3 +62,38 @@ def read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
 
 def write_histogram(path: str | os.PathLike, hist: Sequence[tuple[float, int]]) -> None:
     write_csv(path, ["bin_lower", "count"], hist)
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Per-iteration record of an optimizer or a dictionary learner.
+
+    ``columns`` maps each recorded quantity to one value per iteration, in
+    the order ``trace.csv`` lists them; ``trace.<name>`` reads a column and
+    ``len(trace)`` counts the iterations.  ``index`` names the row-number
+    column written first.  ``replacements`` holds the (iteration, atom)
+    pair of every atom a dictionary learner re-seeded.
+    """
+
+    columns: dict[str, np.ndarray]
+    index: str = "iter"
+    replacements: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        columns = {name: np.asarray(col, dtype=float) for name, col in self.columns.items()}
+        if len({col.shape for col in columns.values()}) != 1:
+            raise ValueError("trace columns must be non-empty and of equal length")
+        object.__setattr__(self, "columns", columns)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def to_csv(self, path: str | os.PathLike) -> None:
+        rows = zip(range(len(self)), *self.columns.values())
+        write_csv(path, [self.index, *self.columns], rows)

@@ -21,7 +21,6 @@ import numpy as np
 from . import altproj, elad, sapiro
 from .errors import ConfigError
 from .linalg import as_matrix
-from .matrixio import write_csv
 
 _KIND_NAMES = {int: "integer", float: "number"}
 
@@ -60,7 +59,7 @@ class Key:
 
 @dataclass(frozen=True)
 class Optimizer:
-    """A registry entry: name, key table, and how to run and record it.
+    """A registry entry: name, key table, and how to run it.
 
     ``config(params, m)``, where given, builds the optimizer's typed
     config, which checks the values' ranges before anything runs.
@@ -70,7 +69,6 @@ class Optimizer:
     keys: tuple[Key, ...]
     design: Callable  # (D, m, params) -> (P, trace)
     config: Callable | None = None
-    write_trace: Callable = lambda path, trace: trace.to_csv(path)
 
 
 @dataclass(frozen=True)
@@ -169,12 +167,7 @@ OPTIMIZERS: dict[str, Optimizer] = {
             lambda D, m, p: elad.elad_optimize(D, _elad_config(p, m)),
             _elad_config,
         ),
-        Optimizer(
-            "sapiro",
-            (_SEED,),
-            lambda D, m, p: sapiro.sapiro_optimize(D, m, p["seed"]),
-            write_trace=lambda path, trace: write_csv(path, ["step", "objective"], enumerate(trace)),
-        ),
+        Optimizer("sapiro", (_SEED,), lambda D, m, p: sapiro.sapiro_optimize(D, m, p["seed"])),
         Optimizer(
             "altproj",
             (Key("t", float, 0.26), Key("iterations", int, 300), _SEED),

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum
 from .linalg import as_matrix, eigh_descending, top_eigh
+from .matrixio import Trace
 
 # Eigenvalues at or below this fraction of the largest count as zero.
 RANK_TOL = 1e-10
@@ -69,8 +70,8 @@ def sapiro_objective(lambdas, Gamma) -> float:
     return float(np.sum(R * R))
 
 
-def sapiro_optimize(D, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of m rank-one updates; returns (P, objective trace).
+def sapiro_optimize(D, m: int, seed: int) -> tuple[np.ndarray, Trace]:
+    """One pass of m rank-one updates; returns (P, trace).
 
     For each row j of Γ: form the misfit E_j = diag(λ) − Σ_{i≠j} v_i v_iᵀ
     (v_i = row i of Γ scaled entrywise by λ), take its largest eigenpair
@@ -78,12 +79,13 @@ def sapiro_optimize(D, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     componentwise as v_j_i / λ_i wherever λ_i > 0 (components with λ_i = 0
     keep their initial values).  Finally P = Γ Vᵀ.
 
-    The trace holds the objective after each of the m updates.
+    The trace's ``objective`` column holds the objective after each of the
+    m updates, indexed by ``step``.
     """
     state = spectral_state(D, m, seed)
     lam = state.lambdas
     nz = lam > 0.0
-    trace = np.empty(m)
+    objective = np.empty(m)
     for j in range(m):
         scaled = state.gamma * lam[None, :]  # row i = v_i
         vj = scaled[j]
@@ -92,6 +94,6 @@ def sapiro_optimize(D, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         xi, U = top_eigh(E, 1)
         v_new = np.sqrt(max(float(xi[0]), 0.0)) * U[:, 0]
         state.gamma[j, nz] = v_new[nz] / lam[nz]
-        trace[j] = sapiro_objective(lam, state.gamma)
+        objective[j] = sapiro_objective(lam, state.gamma)
     P = state.gamma @ state.V.T
-    return P, trace
+    return P, Trace({"objective": objective}, index="step")

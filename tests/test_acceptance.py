@@ -155,13 +155,13 @@ def test_04_spectral_zero_error_and_monotone():
     for n, seed in ((4, 0), (16, 1), (50, 2)):
         Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
         _, trace = sapiro_optimize(Q, n, seed)
-        worst_obj = max(worst_obj, float(trace[-1]))
+        worst_obj = max(worst_obj, float(trace.objective[-1]))
 
     violations = 0
     for s in range(100):
         D = np.random.default_rng(10_000 + s).standard_normal((20, 40))
         _, trace = sapiro_optimize(D, 8, s)
-        if np.any(np.diff(trace) > 1e-10 * max(1.0, float(trace[0]))):
+        if np.any(np.diff(trace.objective) > 1e-10 * max(1.0, float(trace.objective[0]))):
             violations += 1
 
     ok = verdict(

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from incoproj import (
     AltProjConfig,
-    AltProjTrace,
     Dictionary,
+    Trace,
     altproj_optimize,
     gram,
     normalize_columns,
@@ -93,7 +93,7 @@ class TestOptimize:
         cfg = AltProjConfig(t=0.4, m=5, iterations=30, seed=0)
         P, trace = altproj_optimize(D, cfg)
         assert np.asarray(P).shape == (5, 10)
-        assert isinstance(trace, AltProjTrace)
+        assert isinstance(trace, Trace)
         assert len(trace.max_offdiag) == len(trace.mu_t) == 30
         assert np.all(np.isfinite(trace.max_offdiag))
 

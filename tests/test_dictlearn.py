@@ -14,6 +14,7 @@ from incoproj import (
     sense_training_signals,
     sparse_code,
 )
+from incoproj import dictlearn
 from incoproj.errors import SingularSystem
 
 from synthetic import incoherent_frame, planted_signals
@@ -345,3 +346,43 @@ class TestCoupledKSVD:
         lines = out.read_text().splitlines()
         assert lines[0] == "iter,term1,term2"
         assert lines[1].startswith("0,")
+
+
+def _learn_ksvd(ts, k):
+    return ksvd(ts.X, k, 2, iterations=5, seed=0)
+
+
+def _learn_coupled(ts, k):
+    inner = Arm("sapiro", {"seed": 0})
+    cfg = CoupledConfig(lam=1.0, S=2, max_outer_iterations=5, inner=inner, seed=0)
+    return coupled_ksvd(ts, k, cfg)[1:]
+
+
+@pytest.mark.parametrize("learn", [_learn_ksvd, _learn_coupled], ids=["ksvd", "coupled_ksvd"])
+def test_reseeded_atoms_are_recorded(learn, monkeypatch):
+    # 80 atoms for data planted on 60: some atoms go unused and are re-seeded
+    ts = make_training(n=20, k=60, m=8, p=400, S=2, seed=0)
+    codings, seen = [], []  # every outer iteration codes the signals exactly once
+
+    def spy(name, on_result):
+        fn = getattr(dictlearn, name)
+
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            on_result(result)
+            return result
+
+        monkeypatch.setattr(dictlearn, name, wrapper)
+
+    spy("sparse_code", codings.append)
+    for name in ("atom_update_sweep", "purge_duplicate_atoms"):
+        spy(name, lambda replaced: seen.extend((len(codings) - 1, j) for j in replaced))
+    D, Theta, trace = learn(ts, 80)
+    assert len(seen) >= 2
+    assert trace.replacements == tuple(seen)
+    assert_allclose(np.linalg.norm(D, axis=0), 1.0, atol=1e-12)
+
+    monkeypatch.undo()
+    D2, Theta2, trace2 = learn(ts, 80)
+    assert D.tobytes() == D2.tobytes() and Theta.tobytes() == Theta2.tobytes()
+    assert trace2.replacements == trace.replacements

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj.matrixio import (
+    Trace,
     format_cell,
     read_csv,
     read_matrix,
@@ -71,3 +72,23 @@ class TestCsv:
         header, rows = read_csv(p)
         assert header == ["bin_lower", "count"]
         assert rows == [["0.0", "3"], ["0.5", "1"]]
+
+
+class TestTrace:
+    def test_columns_and_csv_layout(self, tmp_path):
+        trace = Trace({"objective": [3.0, float("nan")], "mu": [0.5, 0.25]}, index="step")
+        assert len(trace) == 2
+        assert trace.mu.tolist() == [0.5, 0.25]
+        assert trace.replacements == ()
+        p = tmp_path / "trace.csv"
+        trace.to_csv(p)
+        header, rows = read_csv(p)
+        assert header == ["step", "objective", "mu"]
+        assert rows == [["0", "3.0", "0.5"], ["1", "nan", "0.25"]]
+
+    def test_unknown_column_and_ragged_columns(self):
+        trace = Trace({"objective": [1.0]})
+        with pytest.raises(AttributeError):
+            trace.term1
+        with pytest.raises(ValueError):
+            Trace({"term1": [1.0, 2.0], "term2": [1.0]})

@@ -71,9 +71,9 @@ class TestDesign:
         P, _ = design(Arm("altproj", dict(t=0.4, iterations=10, seed=3)), D, 4)
         P_ref, _ = altproj_optimize(D, AltProjConfig(t=0.4, m=4, iterations=10, seed=3))
         assert np.array_equal(P, P_ref)
-        P, objective = design(Arm("sapiro", {"seed": 3}), D, 4)
-        P_ref, objective_ref = sapiro_optimize(D, 4, 3)
-        assert np.array_equal(P, P_ref) and np.array_equal(objective, objective_ref)
+        P, trace = design(Arm("sapiro", {"seed": 3}), D, 4)
+        P_ref, trace_ref = sapiro_optimize(D, 4, 3)
+        assert np.array_equal(P, P_ref) and np.array_equal(trace.objective, trace_ref.objective)
 
     def test_same_arm_any_m(self):
         arm = Arm("elad", dict(iterations=2, seed=0))

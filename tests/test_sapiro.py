@@ -77,7 +77,7 @@ class TestOptimize:
         P2, t2 = sapiro_optimize(D, m=5, seed=9)
         assert np.asarray(P1).shape == (5, 12)
         assert np.asarray(P1).tobytes() == np.asarray(P2).tobytes()
-        assert_allclose(t1, t2, atol=0)
+        assert_allclose(t1.objective, t2.objective, atol=0)
 
     def test_trace_nonincreasing(self):
         """Each rank-one update eliminates the largest remaining error term."""
@@ -85,14 +85,14 @@ class TestOptimize:
             D = Dictionary(gaussian_dictionary(15, 30, 100 + seed))
             _, trace = sapiro_optimize(D, m=6, seed=seed)
             assert len(trace) == 6
-            assert np.all(np.diff(trace) <= 1e-9 * max(trace[0], 1.0))
+            assert np.all(np.diff(trace.objective) <= 1e-9 * max(trace.objective[0], 1.0))
 
     def test_trace_matches_objective_at_exit(self):
         D = Dictionary(gaussian_dictionary(9, 14, 4))
         P, trace = sapiro_optimize(D, m=3, seed=5)
         st = spectral_state(D, m=3, seed=5)
         val = sapiro_objective(st.lambdas, np.asarray(P) @ st.V)
-        assert_allclose(val, trace[-1], rtol=1e-10, atol=1e-12)
+        assert_allclose(val, trace.objective[-1], rtol=1e-10, atol=1e-12)
 
     def test_m_larger_than_n_rejected(self):
         D = Dictionary(gaussian_dictionary(6, 10, 5))
