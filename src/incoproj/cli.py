@@ -19,7 +19,7 @@ from .coherence import coherence_report, offdiag_histogram
 from .dictlearn import CoupledConfig, TrainingSet, coupled_ksvd, ksvd
 from .errors import ConfigError, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, run_sweep
-from .linalg import Dictionary, gram
+from .linalg import Dictionary, gram, set_blas_threads
 from .matrixio import read_matrix, write_histogram, write_matrix
 from .optimizers import OPTIMIZERS, Arm, design
 
@@ -63,15 +63,21 @@ def _cmd_bench(args) -> int:
         from dataclasses import replace
 
         cfg = replace(cfg, **PAPER_SCALE)
-    records, summary = run_sweep(cfg)
-    emit_reports(records, summary, args.out_dir)
-    print(f"wrote {len(records)} trial records to {args.out_dir}")
+    sweep = run_sweep(cfg)
+    emit_reports(sweep, args.out_dir)
+    print(f"wrote {sum(c.trial_count for c in sweep.cells)} trial records to {args.out_dir}")
     return 0
 
 
 def _cmd_hist(args) -> int:
-    D = read_matrix(args.dict)
-    M = read_matrix(args.proj) @ D if args.proj else D
+    M = read_matrix(args.dict)
+    if args.proj:
+        P = read_matrix(args.proj)
+        if P.shape[1] != M.shape[0]:
+            raise ConfigError(
+                f"projection shape {P.shape} does not match dictionary shape {M.shape}"
+            )
+        M = P @ M
     write_histogram(args.out, offdiag_histogram(gram(M), args.bins))
     return 0
 
@@ -189,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        set_blas_threads(1)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

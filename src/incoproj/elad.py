@@ -15,7 +15,6 @@ from .errors import ZeroColumn
 from .linalg import (
     as_matrix,
     gram,
-    lsq_projection,
     sqrt_factor,
     symmetric_rank_truncate,
 )
@@ -123,6 +122,8 @@ def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, Trace]:
         raise ValueError("need at least two atoms to optimize coherence")
     rng = np.random.default_rng(cfg.seed)
     P = rng.standard_normal((cfg.m, n))
+    # D never changes, so every least-squares refit shares its pseudo-inverse.
+    Dpinv = np.linalg.pinv(Dd)
 
     G = _effective_gram(P, Dd, 0)
     mu_t_hist: list[float] = []
@@ -141,7 +142,7 @@ def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, Trace]:
         shrunk = _shrink_offdiag(G, t, cfg.gamma)
         reduced = symmetric_rank_truncate(shrunk, cfg.m)
         S = sqrt_factor(reduced, cfg.m)
-        P = lsq_projection(S, Dd)
+        P = S @ Dpinv
 
         # The updated Gram is also the next iteration's starting Gram.
         G = _effective_gram(P, Dd, q)

@@ -14,14 +14,15 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
 from .coherence import offdiag_histogram
 from .errors import ConfigError, IncoprojError
 from .linalg import Dictionary, as_matrix, column_norms, gram
-from .matrixio import read_csv, read_matrix, write_csv, write_histogram
+from .matrixio import read_matrix, write_csv, write_histogram
 from .optimizers import Arm, Key, design, lookup
 from .pursuit import basis_pursuit, omp
 
@@ -106,38 +107,29 @@ class ExperimentConfig:
         return ("omp", "bp") if self.solver == "both" else (self.solver,)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    S: int
-    trial_index: int
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """One (arm, solver, S) cell: its N paired trials as columns, in trial order."""
+
     optimizer_name: str
     solver_name: str
-    relative_error: float
-    success: bool
+    S: int
     seed_used: int
-    status: str
+    relative_error: np.ndarray
+    success: np.ndarray
+    status: tuple[str, ...]
 
-    def row(self) -> tuple:
-        return (
-            self.S,
-            self.trial_index,
-            self.optimizer_name,
-            self.solver_name,
-            self.relative_error,
-            self.success,
-            self.seed_used,
-            self.status,
-        )
+    @property
+    def trial_count(self) -> int:
+        return len(self.relative_error)
 
+    @property
+    def mean_relative_error(self) -> float:
+        return float(np.mean(self.relative_error))
 
-@dataclass(frozen=True)
-class SummaryCell:
-    optimizer_name: str
-    solver_name: str
-    S: int
-    mean_relative_error: float
-    failure_rate: float
-    trial_count: int
+    @property
+    def failure_rate(self) -> float:
+        return float(np.mean(~self.success))
 
     def row(self) -> tuple:
         return (
@@ -150,15 +142,15 @@ class SummaryCell:
         )
 
 
-@dataclass
-class SweepSummary:
-    """Per-(arm, solver, S) aggregates plus per-arm effective-Gram histograms."""
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Every (arm, solver, S) cell in run order, plus per-arm effective-Gram histograms."""
 
-    cells: list[SummaryCell] = field(default_factory=list)
-    arm_histograms: dict[str, list[tuple[float, int]]] = field(default_factory=dict)
-    config_echo: str = ""
+    cells: tuple[Cell, ...]
+    arm_histograms: dict[str, list[tuple[float, int]]]
+    config_echo: str
 
-    def cell(self, optimizer_name: str, solver_name: str, S: int) -> SummaryCell:
+    def cell(self, optimizer_name: str, solver_name: str, S: int) -> Cell:
         for c in self.cells:
             if (c.optimizer_name, c.solver_name, c.S) == (optimizer_name, solver_name, S):
                 return c
@@ -170,6 +162,23 @@ class SweepSummary:
             for c in self.cells
             if c.optimizer_name == optimizer_name and c.solver_name == solver_name
         }
+
+    def trial_rows(self):
+        """The rows of trials.csv: per (arm, S) block, trial by trial, each solver in turn."""
+        for _, block in groupby(self.cells, key=lambda c: (c.optimizer_name, c.S)):
+            block = list(block)
+            for i in range(block[0].trial_count):
+                for c in block:
+                    yield (
+                        c.S,
+                        i,
+                        c.optimizer_name,
+                        c.solver_name,
+                        c.relative_error[i],
+                        c.success[i],
+                        c.seed_used,
+                        c.status[i],
+                    )
 
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -220,16 +229,8 @@ def synthesize_signals(D, S: int, N: int, rng: np.random.Generator) -> list[tupl
     return out
 
 
-def _solve_trial(solver_name: str, Dn: np.ndarray, y: np.ndarray, S: int):
-    if solver_name == "omp":
-        return omp(Dn, y, S)
-    if solver_name == "bp":
-        return basis_pursuit(Dn, y)
-    raise ConfigError(f"unknown solver {solver_name!r}")
-
-
-def run_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SweepSummary]:
-    """Run every (arm, S, trial, solver) combination; returns records and summary.
+def run_sweep(cfg: ExperimentConfig) -> Sweep:
+    """Run every (arm, S, trial, solver) combination, one (arm, S) block at a time.
 
     Identical master seeds give identical planted signals in every arm, and
     the whole sweep is deterministic.  A trial whose solve raises a
@@ -245,7 +246,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SweepSummary]:
         for S in cfg.S_range
     }
 
-    records: list[TrialRecord] = []
+    cells: list[Cell] = []
     histograms: dict[str, list[tuple[float, int]]] = {}
     for arm in cfg.optimizers:
         P = arm_projection(arm, D, cfg.m)
@@ -258,14 +259,16 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SweepSummary]:
         else:
             histograms[arm.name] = []
         for S in cfg.S_range:
+            errors = np.empty((len(cfg.solvers), cfg.N))
+            statuses: list[list[str]] = [[] for _ in cfg.solvers]
             for i, (theta, x) in enumerate(signals[S]):
                 y = P @ x
-                for solver_name in cfg.solvers:
+                for j, solver_name in enumerate(cfg.solvers):
                     if degenerate:
                         rel_err, status = float("inf"), "error:ZeroColumn"
                     else:
                         try:
-                            res = _solve_trial(solver_name, Dn, y, S)
+                            res = omp(Dn, y, S) if solver_name == "omp" else basis_pursuit(Dn, y)
                             theta_hat = res.theta_hat.values / norms
                             denom = float(np.linalg.norm(theta))
                             if denom > 0.0:
@@ -275,50 +278,15 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], SweepSummary]:
                             status = res.status.value
                         except IncoprojError as exc:
                             rel_err, status = float("inf"), f"error:{type(exc).__name__}"
-                    records.append(
-                        TrialRecord(
-                            S=S,
-                            trial_index=i,
-                            optimizer_name=arm.name,
-                            solver_name=solver_name,
-                            relative_error=rel_err,
-                            success=bool(rel_err <= cfg.failure_threshold),
-                            seed_used=signal_seeds[S],
-                            status=status,
-                        )
-                    )
-
-    summary = summarize(records)
-    summary.arm_histograms = histograms
-    summary.config_echo = config_echo(cfg)
-    return records, summary
-
-
-def summarize(records: list[TrialRecord]) -> SweepSummary:
-    """Aggregate mean relative error / failure rate per (arm, solver, S) cell."""
-    order: list[tuple[str, str, int]] = []
-    groups: dict[tuple[str, str, int], list[TrialRecord]] = {}
-    for rec in records:
-        key = (rec.optimizer_name, rec.solver_name, rec.S)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
-    cells = []
-    for key in order:
-        grp = groups[key]
-        errors = np.asarray([r.relative_error for r in grp])
-        cells.append(
-            SummaryCell(
-                optimizer_name=key[0],
-                solver_name=key[1],
-                S=key[2],
-                mean_relative_error=float(np.mean(errors)),
-                failure_rate=float(np.mean([not r.success for r in grp])),
-                trial_count=len(grp),
+                    errors[j, i] = rel_err
+                    statuses[j].append(status)
+            success = errors <= cfg.failure_threshold
+            cells.extend(
+                Cell(arm.name, name, S, signal_seeds[S], errors[j], success[j], tuple(statuses[j]))
+                for j, name in enumerate(cfg.solvers)
             )
-        )
-    return SweepSummary(cells=cells)
+
+    return Sweep(tuple(cells), histograms, config_echo(cfg))
 
 
 def config_echo(cfg: ExperimentConfig) -> str:
@@ -349,51 +317,29 @@ def config_echo(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def emit_reports(records: list[TrialRecord], summary: SweepSummary, out_dir) -> list[str]:
+def emit_reports(sweep: Sweep, out_dir) -> list[str]:
     """Write trials.csv, summary.csv, per-arm Gram histograms, and config.echo."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     path = os.path.join(out_dir, "trials.csv")
-    write_csv(path, TRIALS_HEADER, (r.row() for r in records))
+    write_csv(path, TRIALS_HEADER, sweep.trial_rows())
     written.append(path)
 
     path = os.path.join(out_dir, "summary.csv")
-    write_csv(path, SUMMARY_HEADER, (c.row() for c in summary.cells))
+    write_csv(path, SUMMARY_HEADER, (c.row() for c in sweep.cells))
     written.append(path)
 
-    for arm_name, hist in summary.arm_histograms.items():
+    for arm_name, hist in sweep.arm_histograms.items():
         path = os.path.join(out_dir, f"gram_hist_{arm_name}.csv")
         write_histogram(path, hist)
         written.append(path)
 
     path = os.path.join(out_dir, "config.echo")
     with open(path, "w", newline="\n") as fh:
-        fh.write(summary.config_echo)
+        fh.write(sweep.config_echo)
     written.append(path)
     return written
-
-
-def read_trials(path) -> list[TrialRecord]:
-    """Parse trials.csv back into records (the emit round trip)."""
-    header, rows = read_csv(path)
-    if header != TRIALS_HEADER:
-        raise ValueError(f"{path}: unexpected trials header {header}")
-    out = []
-    for row in rows:
-        out.append(
-            TrialRecord(
-                S=int(row[0]),
-                trial_index=int(row[1]),
-                optimizer_name=row[2],
-                solver_name=row[3],
-                relative_error=float(row[4]),
-                success=row[5] == "true",
-                seed_used=int(row[6]),
-                status=row[7],
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

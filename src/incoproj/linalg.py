@@ -8,6 +8,9 @@ the same data) produce bit-identical results.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,23 @@ from .errors import InvalidRank, NotPSD, ZeroColumn
 
 # Columns with norm at or below this are treated as zero.
 ZERO_TOL = 1e-12
+
+
+def set_blas_threads(count: int) -> None:
+    """Set the thread count of the OpenBLAS that numpy and scipy each bundle.
+
+    Every matrix here is small, so threads only add overhead, and results
+    that differ in the last bits between thread counts can flip a BP
+    status.  A library or setter that is not there is skipped.
+    """
+    for package in (np, scipy):
+        for path in glob.glob(os.path.dirname(package.__file__) + ".libs/*openblas*"):
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+                setter = getattr(lib, symbol, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(count)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

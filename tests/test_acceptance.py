@@ -240,7 +240,7 @@ def desk_sweep():
         solver="both",
         master_seed=1,
     )
-    return run_sweep(cfg)[1]
+    return run_sweep(cfg)
 
 
 def ordering_violations(summary, solver: str) -> dict[str, list[tuple[int, float]]]:

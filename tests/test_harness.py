@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj.cli import main
-from incoproj.matrixio import write_matrix
+from incoproj.matrixio import read_csv, write_matrix
 from incoproj.errors import ConfigError
 from incoproj.harness import (
+    TRIALS_HEADER,
     ExperimentConfig,
     FileSource,
     GaussianSource,
@@ -15,12 +16,11 @@ from incoproj.harness import (
     emit_reports,
     load_dictionary,
     parse_config_text,
-    read_trials,
     resolve_config,
     run_sweep,
-    summarize,
     synthesize_signals,
 )
+from incoproj.pursuit import RecoveryStatus
 from incoproj import cli
 from incoproj.optimizers import Arm
 
@@ -156,78 +156,97 @@ class TestFileSource:
         assert_allclose(load_dictionary(cfg).data, D, rtol=1e-12)
 
 
+def trial_records(sweep) -> list[dict]:
+    """The sweep's trials.csv rows, keyed by column name."""
+    return [dict(zip(TRIALS_HEADER, row)) for row in sweep.trial_rows()]
+
+
+def read_trial_rows(path) -> list[list[str]]:
+    header, rows = read_csv(path)
+    assert header == TRIALS_HEADER
+    return rows
+
+
 class TestRunSweep:
     def test_record_grid_is_complete(self):
-        records, summary = run_sweep(tiny_config())
+        sweep = run_sweep(tiny_config())
+        records = trial_records(sweep)
         # arms x S levels x trials x solvers
         assert len(records) == 2 * 1 * 4 * 2
-        keys = {(r.optimizer_name, r.solver_name, r.S, r.trial_index) for r in records}
+        keys = {(r["optimizer_name"], r["solver_name"], r["S"], r["trial_index"]) for r in records}
         assert len(keys) == len(records)
 
     def test_arms_share_planted_signals(self):
-        records, _ = run_sweep(tiny_config())
         by_trial = {}
-        for r in records:
-            by_trial.setdefault((r.S, r.trial_index, r.solver_name), []).append(r)
+        for r in trial_records(run_sweep(tiny_config())):
+            by_trial.setdefault((r["S"], r["trial_index"], r["solver_name"]), []).append(r)
         for group in by_trial.values():
-            assert len({r.seed_used for r in group}) == 1
-            assert {r.optimizer_name for r in group} == {"none", "sapiro"}
+            assert len({r["seed_used"] for r in group}) == 1
+            assert {r["optimizer_name"] for r in group} == {"none", "sapiro"}
 
     def test_summary_arithmetic(self):
-        records, summary = run_sweep(tiny_config())
-        for cell in summary.cells:
+        sweep = run_sweep(tiny_config())
+        records = trial_records(sweep)
+        for cell in sweep.cells:
             grp = [
                 r
                 for r in records
-                if (r.optimizer_name, r.solver_name, r.S)
+                if (r["optimizer_name"], r["solver_name"], r["S"])
                 == (cell.optimizer_name, cell.solver_name, cell.S)
             ]
             assert cell.trial_count == len(grp) == 4
-            assert_allclose(cell.failure_rate, np.mean([not r.success for r in grp]))
+            assert_allclose(cell.failure_rate, np.mean([not r["success"] for r in grp]))
             assert_allclose(
-                cell.mean_relative_error, np.mean([r.relative_error for r in grp])
+                cell.mean_relative_error, np.mean([r["relative_error"] for r in grp])
             )
 
     def test_cell_lookup_raises_on_missing(self):
-        _, summary = run_sweep(tiny_config())
+        sweep = run_sweep(tiny_config())
         with pytest.raises(KeyError):
-            summary.cell("nonesuch", "omp", 1)
+            sweep.cell("nonesuch", "omp", 1)
 
     def test_easy_instance_recovers(self):
         # S=1 at m=4 with any sane projection: both solvers should succeed
         # on nearly every trial
-        records, summary = run_sweep(tiny_config(N=10))
-        curve = summary.failure_curve("sapiro", "omp")
+        sweep = run_sweep(tiny_config(N=10))
+        curve = sweep.failure_curve("sapiro", "omp")
         assert curve[1] <= 0.2
 
     def test_histograms_per_arm(self):
-        _, summary = run_sweep(tiny_config())
-        assert set(summary.arm_histograms) == {"none", "sapiro"}
-        for hist in summary.arm_histograms.values():
+        sweep = run_sweep(tiny_config())
+        assert set(sweep.arm_histograms) == {"none", "sapiro"}
+        for hist in sweep.arm_histograms.values():
             assert sum(count for _, count in hist) == 12 * 11 // 2
 
     def test_statuses_are_solver_outcomes(self):
-        records, _ = run_sweep(tiny_config())
-        assert {r.status for r in records} <= {
-            "converged",
-            "max_iterations",
-            "infeasible",
-            "numerical_trouble",
-        }
+        sweep = run_sweep(tiny_config())
+        assert {r["status"] for r in trial_records(sweep)} <= {s.value for s in RecoveryStatus}
 
+    def test_cells_in_first_seen_order(self):
+        sweep = run_sweep(tiny_config())
+        assert [c.optimizer_name for c in sweep.cells[:2]] == ["none", "none"]
+        assert sweep.cells[0].solver_name == "omp"
 
-class TestSummarize:
-    def test_groups_in_first_seen_order(self):
-        records, _ = run_sweep(tiny_config())
-        summary = summarize(records)
-        assert [c.optimizer_name for c in summary.cells[:2]] == ["none", "none"]
-        assert summary.cells[0].solver_name == "omp"
+    def test_trial_rows_ordered_by_s_then_trial_then_solver(self):
+        sweep = run_sweep(tiny_config(S_range=(1, 2), N=3))
+        keys = [
+            (r["optimizer_name"], r["S"], r["trial_index"], r["solver_name"])
+            for r in trial_records(sweep)
+        ]
+        expected = [
+            (arm, S, i, solver)
+            for arm in ("none", "sapiro")
+            for S in (1, 2)
+            for i in range(3)
+            for solver in ("omp", "bp")
+        ]
+        assert keys == expected
 
 
 class TestEmitReports:
     def test_files_and_round_trip(self, tmp_path):
-        records, summary = run_sweep(tiny_config())
-        written = emit_reports(records, summary, tmp_path)
+        sweep = run_sweep(tiny_config())
+        written = emit_reports(sweep, tmp_path)
         names = {p.split("/")[-1] for p in map(str, written)}
         assert names == {
             "trials.csv",
@@ -239,14 +258,17 @@ class TestEmitReports:
         trials = tmp_path / "trials.csv"
         header = trials.read_text().splitlines()[0]
         assert header == "S,trial_index,optimizer_name,solver_name,relative_error,success,seed_used,status"
-        assert read_trials(trials) == records
+        parsed = [
+            (int(S), int(i), arm, solver, float(err), success == "true", int(seed), status)
+            for S, i, arm, solver, err, success, seed, status in read_trial_rows(trials)
+        ]
+        assert parsed == list(sweep.trial_rows())
         summary_header = (tmp_path / "summary.csv").read_text().splitlines()[0]
         assert summary_header == "optimizer_name,solver_name,S,mean_relative_error,failure_rate,trial_count"
 
     @staticmethod
     def _assert_echo_round_trips(tmp_path, make_config):
-        records, summary = run_sweep(make_config())
-        emit_reports(records, summary, tmp_path)
+        emit_reports(run_sweep(make_config()), tmp_path)
         raw = (tmp_path / "config.echo").read_bytes()
         reparsed = parse_config_text(raw.decode())
         assert reparsed == resolve_config(make_config())
@@ -261,8 +283,7 @@ class TestEmitReports:
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            records, summary = run_sweep(tiny_config())
-            emit_reports(records, summary, out)
+            emit_reports(run_sweep(tiny_config()), out)
         for name in ("trials.csv", "summary.csv", "config.echo"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
@@ -412,7 +433,7 @@ class TestCLI:
         for out in (out_a, out_b):
             assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
-        assert len(read_trials(out_a / "trials.csv")) == 3 * 2 * 3  # arms x S x N
+        assert len(read_trial_rows(out_a / "trials.csv")) == 3 * 2 * 3  # arms x S x N
 
     def test_bench_paper_scale_with_other_m(self, tmp_path, monkeypatch):
         # the config's m (4) differs from the paper-scale m; arms take the
@@ -425,7 +446,7 @@ class TestCLI:
         assert rc == 0
         echo = (out / "config.echo").read_text()
         assert "m = 5\n" in echo and "optimizers = none,elad,altproj\n" in echo
-        assert len(read_trials(out / "trials.csv")) == 3 * 2 * 2  # arms x S x N
+        assert len(read_trial_rows(out / "trials.csv")) == 3 * 2 * 2  # arms x S x N
 
     def test_bench_missing_config(self, tmp_path, capsys):
         rc = main(["bench", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])
@@ -441,6 +462,19 @@ class TestCLI:
         lines = out.read_text().splitlines()
         assert lines[0] == "bin_lower,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 10 * 9 // 2
+
+    def test_hist_projection_shape_mismatch(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        dict_path, proj_path = tmp_path / "D.csv", tmp_path / "P.csv"
+        write_matrix(dict_path, rng.standard_normal((30, 60)))
+        write_matrix(proj_path, rng.standard_normal((8, 20)))
+        out = tmp_path / "hist.csv"
+        rc = main(["hist", "--dict", str(dict_path), "--proj", str(proj_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: projection shape (8, 20)")
+        assert "(30, 60)" in err
+        assert not out.exists()
 
     def test_ksvd_command(self, tmp_path):
         rng = np.random.default_rng(7)
