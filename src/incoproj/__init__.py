@@ -7,7 +7,6 @@ learning, and a reproducible benchmark harness.
 """
 
 from .altproj import (
-    AltProjConfig,
     altproj_optimize,
     normalize_gram,
     project_convex,
@@ -35,13 +34,7 @@ from .dictlearn import (
     sense_training_signals,
     sparse_code,
 )
-from .elad import (
-    EladConfig,
-    FixedThreshold,
-    RelativeThreshold,
-    elad_optimize,
-    shrink_elad,
-)
+from .elad import elad_optimize, shrink_elad
 from .errors import (
     ConfigError,
     DegenerateDiagonal,
@@ -94,7 +87,6 @@ from .sapiro import SapiroState, sapiro_objective, sapiro_optimize, spectral_sta
 __version__ = "0.1.0"
 
 __all__ = [
-    "AltProjConfig",
     "Arm",
     "Cell",
     "CoherenceReport",
@@ -103,11 +95,9 @@ __all__ = [
     "DegenerateDiagonal",
     "DegenerateSpectrum",
     "Dictionary",
-    "EladConfig",
     "EmptyAverage",
     "ExperimentConfig",
     "FileSource",
-    "FixedThreshold",
     "GaussianSource",
     "IncoprojError",
     "InvalidRank",
@@ -117,7 +107,6 @@ __all__ = [
     "RankExceeded",
     "RecoveryResult",
     "RecoveryStatus",
-    "RelativeThreshold",
     "SapiroState",
     "SingularSystem",
     "SparseVector",

@@ -9,30 +9,12 @@ projection matrix realizing it (in the least-squares sense) is recovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDiagonal, EmptyAverage, RankExceeded
 from .coherence import gram_t_average, offdiag_magnitudes
 from .linalg import as_matrix, lsq_projection, sqrt_factor, symmetric_rank_truncate
 from .matrixio import Trace
-
-
-@dataclass(frozen=True)
-class AltProjConfig:
-    t: float
-    m: int
-    iterations: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.t < 1.0:
-            raise ValueError("t must be in (0, 1)")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 def project_convex(G, t: float) -> np.ndarray:
@@ -95,35 +77,40 @@ def recover_projection(G, D, m: int) -> np.ndarray:
     return lsq_projection(S, D)
 
 
-def altproj_optimize(D, cfg: AltProjConfig) -> tuple[np.ndarray, Trace]:
-    """Alternate convex / rank projections from a seeded random symmetric start.
+def altproj_optimize(
+    D, m: int, *, t: float, iterations: int, seed: int
+) -> tuple[np.ndarray, Trace]:
+    """Alternate convex / rank-m projections from a seeded random symmetric start.
 
-    Returns the recovered projection matrix and a per-iteration trace of
-    the normalized working Gram's max off-diagonal magnitude and its mu_t
-    at cfg.t (NaN when nothing exceeds t).
+    Returns the recovered m-row projection matrix and a per-iteration
+    trace of the normalized working Gram's max off-diagonal magnitude and
+    its mu_t at t (NaN when nothing exceeds t).  The registry's
+    ``altproj`` entry holds the keys' allowed ranges.
     """
     Dd = as_matrix(D, "dictionary")
     k = Dd.shape[1]
     if k < 2:
         raise ValueError("need at least two atoms to optimize coherence")
-    if cfg.m > k:
-        raise ValueError(f"m={cfg.m} exceeds atom count k={k}")
-    rng = np.random.default_rng(cfg.seed)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > k:
+        raise ValueError(f"m={m} exceeds atom count k={k}")
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((k, k))
     G = 0.5 * (A + A.T)
     np.fill_diagonal(G, 1.0)
 
-    max_off = np.empty(cfg.iterations)
-    mu_t = np.empty(cfg.iterations)
-    for q in range(cfg.iterations):
-        G = project_convex(G, cfg.t)
-        G = project_rank(G, cfg.m)
+    max_off = np.empty(iterations)
+    mu_t = np.empty(iterations)
+    for q in range(iterations):
+        G = project_convex(G, t)
+        G = project_rank(G, m)
         Gn = normalize_gram(G)
         max_off[q] = float(offdiag_magnitudes(Gn).max())
         try:
-            mu_t[q] = gram_t_average(Gn, cfg.t)
+            mu_t[q] = gram_t_average(Gn, t)
         except EmptyAverage:
             mu_t[q] = float("nan")
 
-    P = recover_projection(normalize_gram(G), Dd, cfg.m)
+    P = recover_projection(normalize_gram(G), Dd, m)
     return P, Trace({"max_offdiag": max_off, "mu_t": mu_t})

@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="run one projection optimizer on a dictionary")
-    p.add_argument("--method", required=True, choices=["elad", "sapiro", "altproj"])
+    designers = [name for name in OPTIMIZERS if name not in ("none", "fixed")]
+    p.add_argument("--method", required=True, choices=designers)
     p.add_argument("--dict", help="dictionary matrix CSV (no header)")
     p.add_argument("--n", type=int, help="rows of a generated Gaussian dictionary")
     p.add_argument("--k", type=int, help="columns of a generated Gaussian dictionary")
@@ -183,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--outer", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inner", choices=["sapiro", "elad", "altproj", "fixed"], default="sapiro")
+    inners = [name for name in OPTIMIZERS if name != "none"]
+    p.add_argument("--inner", choices=inners, default="sapiro")
     p.add_argument("--inner-seed", type=int, default=0)
     p.add_argument("--inner-iterations", type=int, default=50)
     _add_optimizer_flags(p)

@@ -27,11 +27,10 @@ from .pursuit import omp
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Training signals X (n x p), optional projected samples Y (m x p), noise std sigma."""
+    """Training signals X (n x p) and optional projected samples Y (m x p)."""
 
     X: np.ndarray
     Y: np.ndarray | None = None
-    sigma: float = 0.0
 
     def __post_init__(self):
         X = as_matrix(self.X, "training signals")
@@ -41,8 +40,6 @@ class TrainingSet:
             if Y.shape[1] != X.shape[1]:
                 raise ValueError("X and Y must have the same number of columns")
             object.__setattr__(self, "Y", Y)
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
 
     @property
     def p(self) -> int:

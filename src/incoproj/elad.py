@@ -7,8 +7,6 @@ to rank m, and re-fitting P by least squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ZeroColumn
@@ -20,47 +18,6 @@ from .linalg import (
 )
 from .coherence import offdiag_magnitudes, relative_threshold
 from .matrixio import Trace
-
-
-@dataclass(frozen=True)
-class FixedThreshold:
-    """Use the same absolute threshold t at every iteration."""
-
-    t: float
-
-    def __post_init__(self):
-        if not 0.0 < self.t < 1.0:
-            raise ValueError("fixed threshold must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class RelativeThreshold:
-    """Re-pick t each iteration so ~percent% of Gram magnitudes lie above it."""
-
-    percent: float
-
-    def __post_init__(self):
-        if not 0.0 < self.percent < 100.0:
-            raise ValueError("percent must be in (0, 100)")
-
-
-@dataclass(frozen=True)
-class EladConfig:
-    threshold_mode: FixedThreshold | RelativeThreshold
-    gamma: float
-    iterations: int
-    m: int
-    seed: int
-
-    def __post_init__(self):
-        if not isinstance(self.threshold_mode, (FixedThreshold, RelativeThreshold)):
-            raise ValueError("threshold_mode must be FixedThreshold or RelativeThreshold")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
 
 def shrink_elad(g, t: float, gamma: float):
@@ -96,13 +53,18 @@ def _effective_gram(P: np.ndarray, Dd: np.ndarray, q: int) -> np.ndarray:
         raise ZeroColumn(exc.index, f"effective dictionary at iteration {q}") from exc
 
 
-def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, Trace]:
-    """Run the shrinkage loop for cfg.iterations and return (P, trace).
+def elad_optimize(
+    D, m: int, *, mode: str, gamma: float, iterations: int, seed: int, t=None, percent=None
+) -> tuple[np.ndarray, Trace]:
+    """Run the shrinkage loop for ``iterations`` and return the m-row P and its trace.
 
     Each iteration: normalize the columns of P @ D, build the Gram, pick
-    the threshold (fixed or from the current Gram's order statistics),
-    shrink the off-diagonals, truncate to rank m, take the m-row square
-    root, and solve the least-squares problem for the next P.
+    the threshold (mode ``"fixed"``: the same ``t`` every time; mode
+    ``"relative"``: re-picked from the current Gram's order statistics so
+    that about ``percent``% of its magnitudes lie above it), shrink the
+    off-diagonals by ``gamma``, truncate to rank m, take the m-row square
+    root, and solve the least-squares problem for the next P.  The
+    registry's ``elad`` entry holds the keys' allowed ranges.
 
     The trace records, for every iteration, the threshold used and the
     mu_t / mu of the updated effective dictionary at that threshold;
@@ -116,12 +78,16 @@ def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, Trace]:
     """
     Dd = as_matrix(D, "dictionary")
     n = Dd.shape[0]
-    if cfg.m > n:
-        raise ValueError(f"m={cfg.m} exceeds signal dimension n={n}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > n:
+        raise ValueError(f"m={m} exceeds signal dimension n={n}")
     if Dd.shape[1] < 2:
         raise ValueError("need at least two atoms to optimize coherence")
-    rng = np.random.default_rng(cfg.seed)
-    P = rng.standard_normal((cfg.m, n))
+    if mode not in ("fixed", "relative"):
+        raise ValueError(f"mode {mode!r} not 'fixed' or 'relative'")
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((m, n))
     # D never changes, so every least-squares refit shares its pseudo-inverse.
     Dpinv = np.linalg.pinv(Dd)
 
@@ -129,19 +95,17 @@ def elad_optimize(D, cfg: EladConfig) -> tuple[np.ndarray, Trace]:
     mu_t_hist: list[float] = []
     mu_hist: list[float] = []
     thr_hist: list[float] = []
-    for q in range(cfg.iterations):
-        if isinstance(cfg.threshold_mode, FixedThreshold):
-            t = cfg.threshold_mode.t
-        else:
-            t = relative_threshold(G, cfg.threshold_mode.percent).value
+    for q in range(iterations):
+        if mode == "relative":
+            t = relative_threshold(G, percent).value
             if t <= 0.0:
                 # Order statistic ran off the end; fall back to the smallest
                 # magnitude so the shrink still has a valid positive t.
                 mags = offdiag_magnitudes(G)
                 t = max(float(mags.min()), 1e-12)
-        shrunk = _shrink_offdiag(G, t, cfg.gamma)
-        reduced = symmetric_rank_truncate(shrunk, cfg.m)
-        S = sqrt_factor(reduced, cfg.m)
+        shrunk = _shrink_offdiag(G, t, gamma)
+        reduced = symmetric_rank_truncate(shrunk, m)
+        S = sqrt_factor(reduced, m)
         P = S @ Dpinv
 
         # The updated Gram is also the next iteration's starting Gram.

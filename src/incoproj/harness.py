@@ -98,9 +98,7 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ConfigError("optimizer arm names must be unique")
         for arm in self.optimizers:
-            entry = lookup(arm.name, SWEEP_OPTIMIZERS)
-            if entry.config:
-                entry.config(arm.params, self.m)  # reject bad values before the sweep runs
+            lookup(arm.name, SWEEP_OPTIMIZERS)
 
     @property
     def solvers(self) -> tuple[str, ...]:
@@ -240,12 +238,6 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
     cfg = resolve_config(cfg)
     D = load_dictionary(cfg)
 
-    signal_seeds = {S: derive_seed(cfg.master_seed, "signals", S) for S in cfg.S_range}
-    signals = {
-        S: synthesize_signals(D, S, cfg.N, np.random.default_rng(signal_seeds[S]))
-        for S in cfg.S_range
-    }
-
     cells: list[Cell] = []
     histograms: dict[str, list[tuple[float, int]]] = {}
     for arm in cfg.optimizers:
@@ -259,9 +251,13 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
         else:
             histograms[arm.name] = []
         for S in cfg.S_range:
+            # Each block re-draws its level's pairs from the same seed, so
+            # every arm sees the same signals without keeping them all.
+            seed = derive_seed(cfg.master_seed, "signals", S)
+            signals = synthesize_signals(D, S, cfg.N, np.random.default_rng(seed))
             errors = np.empty((len(cfg.solvers), cfg.N))
             statuses: list[list[str]] = [[] for _ in cfg.solvers]
-            for i, (theta, x) in enumerate(signals[S]):
+            for i, (theta, x) in enumerate(signals):
                 y = P @ x
                 for j, solver_name in enumerate(cfg.solvers):
                     if degenerate:
@@ -282,7 +278,7 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
                     statuses[j].append(status)
             success = errors <= cfg.failure_threshold
             cells.extend(
-                Cell(arm.name, name, S, signal_seeds[S], errors[j], success[j], tuple(statuses[j]))
+                Cell(arm.name, name, S, seed, errors[j], success[j], tuple(statuses[j]))
                 for j, name in enumerate(cfg.solvers)
             )
 

@@ -1,8 +1,8 @@
 """The projection optimizers, one registry entry each.
 
 An entry names an optimizer, lists the keys that configure it (with
-their types and config-file defaults) and runs it through
-``design(D, m, params) -> (P, trace)``.  The benchmark harness, coupled
+their types, config-file defaults and allowed ranges) and runs it as
+``design(D, m, **params) -> (P, trace)``.  The benchmark harness, coupled
 dictionary learning and the CLI all describe an optimizer as an
 :class:`Arm` (a registry name plus key values) and run it with
 :func:`design`, so adding an optimizer means adding one entry here.
@@ -13,6 +13,7 @@ at any projection size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,7 +34,8 @@ class Key:
     harness derives unset seeds from the master seed, and the fixed
     projection needs its matrix.  ``choices`` restricts a string key.
     ``when = (other, value)`` makes the key apply only while key ``other``
-    has that value; otherwise the arm drops it.
+    has that value; otherwise the arm drops it.  ``bounds = (lo, hi)`` is
+    the open interval a number must lie in.
     """
 
     name: str
@@ -41,6 +43,7 @@ class Key:
     default: object = None
     choices: tuple[str, ...] = ()
     when: tuple[str, str] | None = None
+    bounds: tuple[float, float] | None = None
 
     def parse(self, value, label: str):
         """Coerce ``value`` (config text or a Python value) to this key's type."""
@@ -54,21 +57,18 @@ class Key:
             ) from None
         if self.choices and value not in self.choices:
             raise ConfigError(f"{label} {value!r} not " + " or ".join(map(repr, self.choices)))
+        if self.bounds and not self.bounds[0] < value < self.bounds[1]:
+            raise ValueError(f"{label} must be in ({self.bounds[0]:g}, {self.bounds[1]:g})")
         return value
 
 
 @dataclass(frozen=True)
 class Optimizer:
-    """A registry entry: name, key table, and how to run it.
-
-    ``config(params, m)``, where given, builds the optimizer's typed
-    config, which checks the values' ranges before anything runs.
-    """
+    """A registry entry: name, key table, and how to run it."""
 
     name: str
     keys: tuple[Key, ...]
-    design: Callable  # (D, m, params) -> (P, trace)
-    config: Callable | None = None
+    design: Callable  # (D, m, **params) -> (P, trace)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,9 @@ class Arm:
 
     ``params`` is normalized on construction, in the entry's key order:
     each value takes its key's type, unset keys take their defaults, and
-    keys that do not apply (``Key.when``) are dropped.
+    keys that do not apply (``Key.when``) are dropped.  A value of the
+    wrong type or outside its key's choices or bounds is rejected here,
+    before any arm runs.
     """
 
     name: str
@@ -115,33 +117,18 @@ def design(arm: Arm, D, m: int):
             f"{arm.name} arm has no {', '.join(unset)}; set it"
             " (a sweep's resolve_config derives unset seeds from its master seed)"
         )
-    return OPTIMIZERS[arm.name].design(D, m, arm.params)
+    return OPTIMIZERS[arm.name].design(D, m, **arm.params)
 
 
 # The entries call the optimizers through their modules at call time, so a
 # wrapper installed on a module attribute sees every call.
 
 
-def _random(D, m, p):
-    return np.random.default_rng(p["seed"]).standard_normal((m, D.shape[0])), None
+def _random(D, m, *, seed):
+    return np.random.default_rng(seed).standard_normal((m, D.shape[0])), None
 
 
-def _elad_config(p, m) -> elad.EladConfig:
-    if p["mode"] == "fixed":
-        threshold = elad.FixedThreshold(p["t"])
-    else:
-        threshold = elad.RelativeThreshold(p["percent"])
-    return elad.EladConfig(
-        threshold_mode=threshold, gamma=p["gamma"], iterations=p["iterations"], m=m, seed=p["seed"]
-    )
-
-
-def _altproj_config(p, m) -> altproj.AltProjConfig:
-    return altproj.AltProjConfig(t=p["t"], m=m, iterations=p["iterations"], seed=p["seed"])
-
-
-def _fixed(D, m, p):
-    P = p["P"]
+def _fixed(D, m, *, P):
     if P.shape != (m, D.shape[0]):
         raise ValueError(f"fixed projection shape {P.shape} != ({m}, {D.shape[0]})")
     return P, None
@@ -158,21 +145,23 @@ OPTIMIZERS: dict[str, Optimizer] = {
             "elad",
             (
                 Key("mode", str, "relative", choices=("fixed", "relative")),
-                Key("t", float, 0.26, when=("mode", "fixed")),
-                Key("percent", float, 26.0, when=("mode", "relative")),
-                Key("gamma", float, 0.6),
-                Key("iterations", int, 50),
+                Key("t", float, 0.26, when=("mode", "fixed"), bounds=(0, 1)),
+                Key("percent", float, 26.0, when=("mode", "relative"), bounds=(0, 100)),
+                Key("gamma", float, 0.6, bounds=(0, 1)),
+                Key("iterations", int, 50, bounds=(0, math.inf)),
                 _SEED,
             ),
-            lambda D, m, p: elad.elad_optimize(D, _elad_config(p, m)),
-            _elad_config,
+            lambda D, m, **p: elad.elad_optimize(D, m, **p),
         ),
-        Optimizer("sapiro", (_SEED,), lambda D, m, p: sapiro.sapiro_optimize(D, m, p["seed"])),
+        Optimizer("sapiro", (_SEED,), lambda D, m, **p: sapiro.sapiro_optimize(D, m, **p)),
         Optimizer(
             "altproj",
-            (Key("t", float, 0.26), Key("iterations", int, 300), _SEED),
-            lambda D, m, p: altproj.altproj_optimize(D, _altproj_config(p, m)),
-            _altproj_config,
+            (
+                Key("t", float, 0.26, bounds=(0, 1)),
+                Key("iterations", int, 300, bounds=(0, math.inf)),
+                _SEED,
+            ),
+            lambda D, m, **p: altproj.altproj_optimize(D, m, **p),
         ),
         # Keep a caller-supplied projection fixed (coupled learning only).
         Optimizer("fixed", (Key("P", np.ndarray),), _fixed),

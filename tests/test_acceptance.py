@@ -24,8 +24,6 @@ from incoproj import (
     sapiro_optimize,
     shrink_elad,
 )
-from incoproj.altproj import AltProjConfig
-from incoproj.elad import EladConfig, FixedThreshold, RelativeThreshold
 from incoproj.harness import ExperimentConfig, GaussianSource, run_sweep
 from incoproj.optimizers import Arm
 from incoproj.cli import main
@@ -134,8 +132,7 @@ def test_03_altproj_feasibility_full_scale():
     finals = []
     for s in range(3):
         D = np.random.default_rng(100 + s).standard_normal((200, 400))
-        cfg = AltProjConfig(t=0.26, m=30, iterations=1000, seed=s)
-        _, trace = altproj_optimize(D, cfg)
+        _, trace = altproj_optimize(D, 30, t=0.26, iterations=1000, seed=s)
         finals.append(float(trace.max_offdiag[-1]))
     ok = verdict(
         "3 altproj feasibility (200x400, m=30, t=0.26)",
@@ -180,15 +177,14 @@ def test_04_spectral_zero_error_and_monotone():
 
 def test_05_shrinkage_improvement():
     modes = {
-        "fixed": FixedThreshold(0.3),
-        "relative": RelativeThreshold(26.0),
+        "fixed": dict(mode="fixed", t=0.3),
+        "relative": dict(mode="relative", percent=26.0),
     }
     failures = []
     for name, mode in modes.items():
         for s in range(20):
             D = gaussian_dictionary(8, 16, 500 + s)
-            cfg = EladConfig(threshold_mode=mode, gamma=0.6, iterations=50, m=4, seed=s)
-            _, trace = elad_optimize(D, cfg)
+            _, trace = elad_optimize(D, 4, **mode, gamma=0.6, iterations=50, seed=s)
             first, last = float(trace.mu_t[0]), float(trace.mu_t[-1])
             if not (np.isfinite(first) and np.isfinite(last) and last <= first):
                 failures.append((name, s))
@@ -198,10 +194,7 @@ def test_05_shrinkage_improvement():
     overshoot_seeds = 0
     for s in range(20):
         D = gaussian_dictionary(8, 16, 500 + s)
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.1), gamma=0.6, iterations=50, m=4, seed=s
-        )
-        P, _ = elad_optimize(D, cfg)
+        P, _ = elad_optimize(D, 4, mode="fixed", t=0.1, gamma=0.6, iterations=50, seed=s)
         if mutual_coherence(P @ D)[0] > 0.1:
             overshoot_seeds += 1
 

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
-    AltProjConfig,
     Dictionary,
     Trace,
     altproj_optimize,
@@ -90,8 +89,7 @@ class TestRecoverProjection:
 class TestOptimize:
     def test_trace_and_output_shapes(self):
         D = Dictionary(gaussian_dictionary(10, 20, 5))
-        cfg = AltProjConfig(t=0.4, m=5, iterations=30, seed=0)
-        P, trace = altproj_optimize(D, cfg)
+        P, trace = altproj_optimize(D, 5, t=0.4, iterations=30, seed=0)
         assert np.asarray(P).shape == (5, 10)
         assert isinstance(trace, Trace)
         assert len(trace.max_offdiag) == len(trace.mu_t) == 30
@@ -100,36 +98,25 @@ class TestOptimize:
     def test_feasibility_reached_small_instance(self):
         """With a loose threshold the iteration lands inside the constraint set."""
         D = Dictionary(gaussian_dictionary(12, 16, 6))
-        cfg = AltProjConfig(t=0.55, m=8, iterations=400, seed=1)
-        _, trace = altproj_optimize(D, cfg)
+        _, trace = altproj_optimize(D, 8, t=0.55, iterations=400, seed=1)
         assert trace.max_offdiag[-1] <= 0.55 + 0.05
 
     def test_deterministic(self):
         D = Dictionary(gaussian_dictionary(9, 15, 7))
-        cfg = AltProjConfig(t=0.4, m=4, iterations=25, seed=3)
-        P1, t1 = altproj_optimize(D, cfg)
-        P2, t2 = altproj_optimize(D, cfg)
+        params = dict(t=0.4, iterations=25, seed=3)
+        P1, t1 = altproj_optimize(D, 4, **params)
+        P2, t2 = altproj_optimize(D, 4, **params)
         assert np.asarray(P1).tobytes() == np.asarray(P2).tobytes()
         assert t1.max_offdiag.tobytes() == t2.max_offdiag.tobytes()
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AltProjConfig(t=0.0, m=4, iterations=10, seed=0)
-        with pytest.raises(ValueError):
-            AltProjConfig(t=1.0, m=4, iterations=10, seed=0)
-        with pytest.raises(ValueError):
-            AltProjConfig(t=0.3, m=4, iterations=0, seed=0)
-
     def test_m_bounds(self):
         D = Dictionary(gaussian_dictionary(6, 8, 8))
-        cfg = AltProjConfig(t=0.4, m=9, iterations=5, seed=0)
         with pytest.raises(ValueError):
-            altproj_optimize(D, cfg)
+            altproj_optimize(D, 9, t=0.4, iterations=5, seed=0)
 
     def test_trace_csv_layout(self, tmp_path):
         D = Dictionary(gaussian_dictionary(8, 12, 9))
-        cfg = AltProjConfig(t=0.5, m=4, iterations=4, seed=2)
-        _, trace = altproj_optimize(D, cfg)
+        _, trace = altproj_optimize(D, 4, t=0.5, iterations=4, seed=2)
         out = tmp_path / "trace.csv"
         trace.to_csv(out)
         lines = out.read_text().splitlines()

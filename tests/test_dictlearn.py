@@ -30,17 +30,13 @@ def make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01, seed=0):
     X = D_true @ Theta
     P = rng.standard_normal((m, n)) / np.sqrt(m)
     Y = sense_training_signals(X, P, sigma, seed + 1)
-    return TrainingSet(X=X, Y=Y, sigma=sigma)
+    return TrainingSet(X=X, Y=Y)
 
 
 class TestTrainingSet:
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TrainingSet(X=np.ones((4, 10)), Y=np.ones((2, 9)))
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingSet(X=np.ones((4, 10)), sigma=-0.1)
 
     def test_signal_count(self):
         ts = TrainingSet(X=np.ones((4, 10)))
@@ -328,8 +324,7 @@ class TestCoupledKSVD:
         ts = make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01, seed=200)
         rng = np.random.default_rng(21)
         P = rng.standard_normal((8, 20)) / np.sqrt(8)
-        ts = TrainingSet(X=ts.X, Y=sense_training_signals(ts.X, P, 0.01, 7),
-                         sigma=0.01)
+        ts = TrainingSet(X=ts.X, Y=sense_training_signals(ts.X, P, 0.01, 7))
         cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=10,
                             inner=Arm("fixed", {"P": P}), seed=1)
         _, _, _, trace = coupled_ksvd(ts, 40, cfg)

@@ -5,9 +5,6 @@ from numpy.testing import assert_allclose
 
 from incoproj import (
     Dictionary,
-    EladConfig,
-    FixedThreshold,
-    RelativeThreshold,
     elad_optimize,
     gram,
     normalize_columns,
@@ -49,40 +46,17 @@ class TestShrink:
         assert shrink_elad(0.3, 0.5, 0.6) == pytest.approx(0.3)
 
 
-class TestConfig:
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            FixedThreshold(0.0)
-        with pytest.raises(ValueError):
-            FixedThreshold(1.0)
-        with pytest.raises(ValueError):
-            RelativeThreshold(100.0)
-
-    def test_config_validation(self):
-        mode = FixedThreshold(0.5)
-        with pytest.raises(ValueError):
-            EladConfig(threshold_mode=mode, gamma=1.0, iterations=10, m=4, seed=0)
-        with pytest.raises(ValueError):
-            EladConfig(threshold_mode=mode, gamma=0.5, iterations=0, m=4, seed=0)
-
-
 class TestOptimize:
     def test_smoke_single_iteration(self):
         D = Dictionary(gaussian_dictionary(8, 16, 0))
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.5), gamma=0.6, iterations=1, m=4, seed=0
-        )
-        P, trace = elad_optimize(D, cfg)
+        P, trace = elad_optimize(D, 4, mode="fixed", t=0.5, gamma=0.6, iterations=1, seed=0)
         assert np.asarray(P).shape == (4, 8)
         assert np.all(np.isfinite(np.asarray(P)))
         assert len(trace) == 1
 
     def test_trace_lengths_and_fields(self):
         D = Dictionary(gaussian_dictionary(8, 16, 1))
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.4), gamma=0.6, iterations=7, m=4, seed=3
-        )
-        _, trace = elad_optimize(D, cfg)
+        _, trace = elad_optimize(D, 4, mode="fixed", t=0.4, gamma=0.6, iterations=7, seed=3)
         assert len(trace.mu_t) == len(trace.mu) == len(trace.threshold) == 7
         assert np.all(trace.mu <= 1.0 + 1e-12)
         assert np.all(trace.threshold == 0.4)
@@ -90,10 +64,7 @@ class TestOptimize:
     def test_improves_t_average_on_seeded_instance(self):
         """Golden check: 50 iterations beat iteration 1 on the 8x16, m=4 case."""
         D = Dictionary(gaussian_dictionary(8, 16, 500))
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.5), gamma=0.6, iterations=50, m=4, seed=1
-        )
-        P, trace = elad_optimize(D, cfg)
+        P, trace = elad_optimize(D, 4, mode="fixed", t=0.5, gamma=0.6, iterations=50, seed=1)
         assert trace.mu_t[-1] <= trace.mu_t[0]
         # goldens recorded from the first run of this configuration
         assert_allclose(trace.mu_t[0], 0.731803742123, rtol=1e-9)
@@ -104,37 +75,28 @@ class TestOptimize:
 
     def test_relative_mode_runs_and_thresholds_vary(self):
         D = Dictionary(gaussian_dictionary(10, 20, 2))
-        cfg = EladConfig(
-            threshold_mode=RelativeThreshold(25.0), gamma=0.6, iterations=12, m=5, seed=1
+        _, trace = elad_optimize(
+            D, 5, mode="relative", percent=25.0, gamma=0.6, iterations=12, seed=1
         )
-        _, trace = elad_optimize(D, cfg)
         assert len(np.unique(trace.threshold)) > 1
         assert np.all(trace.threshold >= 0.0)
 
     def test_seed_determinism(self):
         D = Dictionary(gaussian_dictionary(9, 18, 4))
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.3), gamma=0.7, iterations=10, m=4, seed=42
-        )
-        P1, t1 = elad_optimize(D, cfg)
-        P2, t2 = elad_optimize(D, cfg)
+        params = dict(mode="fixed", t=0.3, gamma=0.7, iterations=10, seed=42)
+        P1, t1 = elad_optimize(D, 4, **params)
+        P2, t2 = elad_optimize(D, 4, **params)
         assert np.asarray(P1).tobytes() == np.asarray(P2).tobytes()
         assert t1.mu_t.tobytes() == t2.mu_t.tobytes()
 
     def test_m_bounds_enforced(self):
         D = Dictionary(gaussian_dictionary(6, 12, 5))
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.5), gamma=0.6, iterations=2, m=7, seed=0
-        )
         with pytest.raises(ValueError):
-            elad_optimize(D, cfg)
+            elad_optimize(D, 7, mode="fixed", t=0.5, gamma=0.6, iterations=2, seed=0)
 
     def test_trace_csv_layout(self, tmp_path):
         D = Dictionary(gaussian_dictionary(8, 16, 6))
-        cfg = EladConfig(
-            threshold_mode=FixedThreshold(0.4), gamma=0.6, iterations=3, m=4, seed=2
-        )
-        _, trace = elad_optimize(D, cfg)
+        _, trace = elad_optimize(D, 4, mode="fixed", t=0.4, gamma=0.6, iterations=3, seed=2)
         out = tmp_path / "trace.csv"
         trace.to_csv(out)
         lines = out.read_text().splitlines()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from incoproj.altproj import AltProjConfig, altproj_optimize
-from incoproj.elad import EladConfig, FixedThreshold, RelativeThreshold, elad_optimize
+from incoproj.altproj import altproj_optimize
+from incoproj.elad import elad_optimize
 from incoproj.errors import ConfigError
 from incoproj.optimizers import OPTIMIZERS, Arm, design, lookup
 from incoproj.sapiro import sapiro_optimize
@@ -45,6 +45,49 @@ class TestArm:
         with pytest.raises(ConfigError):
             Arm(name, params)
 
+    # (arm, key, value, inside): every bounded key at both ends of its open
+    # interval and inside it; elad's t is tried in fixed mode, where it applies.
+    BOUNDED = [
+        ("elad", "t", 0.0, False),
+        ("elad", "t", 1.0, False),
+        ("elad", "t", 0.5, True),
+        ("elad", "percent", 0.0, False),
+        ("elad", "percent", 100.0, False),
+        ("elad", "percent", 30.0, True),
+        ("elad", "gamma", 0.0, False),
+        ("elad", "gamma", 1.0, False),
+        ("elad", "gamma", 0.5, True),
+        ("elad", "iterations", 0, False),
+        ("elad", "iterations", 10**9, True),
+        ("elad", "iterations", 1, True),
+        ("altproj", "t", 0.0, False),
+        ("altproj", "t", 1.0, False),
+        ("altproj", "t", 0.3, True),
+        ("altproj", "iterations", 0, False),
+        ("altproj", "iterations", 10**9, True),
+        ("altproj", "iterations", 1, True),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, key, value, inside", BOUNDED, ids=[f"{n}.{k}={v}" for n, k, v, _ in BOUNDED]
+    )
+    def test_bounds_are_open_intervals(self, name, key, value, inside):
+        params = {"mode": "fixed", key: value} if (name, key) == ("elad", "t") else {key: value}
+        if inside:
+            assert Arm(name, params).params[key] == value
+        else:
+            with pytest.raises(ValueError, match=rf"^{name}\.{key} must be in \("):
+                Arm(name, params)
+
+    def test_every_bounded_key_is_tried(self):
+        bounded = {
+            (name, key.name)
+            for name, entry in OPTIMIZERS.items()
+            for key in entry.keys
+            if key.bounds
+        }
+        assert bounded == {(name, key) for name, key, _, _ in self.BOUNDED}
+
     def test_lookup_restricts_names(self):
         assert lookup("fixed") is OPTIMIZERS["fixed"]
         with pytest.raises(ConfigError, match=r"choose none, elad\)"):
@@ -56,23 +99,20 @@ class TestDesign:
 
     def test_elad_both_modes(self):
         D = dictionary(1)
-        for params, mode in (
-            (dict(mode="fixed", t=0.4), FixedThreshold(0.4)),
-            (dict(percent=30.0), RelativeThreshold(30.0)),
-        ):
-            P, trace = design(Arm("elad", dict(params, iterations=5, seed=2)), D, 4)
-            cfg = EladConfig(threshold_mode=mode, gamma=0.6, iterations=5, m=4, seed=2)
-            P_ref, trace_ref = elad_optimize(D, cfg)
+        for params in (dict(mode="fixed", t=0.4), dict(mode="relative", percent=30.0)):
+            params = dict(params, gamma=0.6, iterations=5, seed=2)
+            P, trace = design(Arm("elad", params), D, 4)
+            P_ref, trace_ref = elad_optimize(D, 4, **params)
             assert np.array_equal(P, P_ref)
             assert np.array_equal(trace.mu, trace_ref.mu)
 
     def test_altproj_and_sapiro(self):
         D = dictionary(2)
         P, _ = design(Arm("altproj", dict(t=0.4, iterations=10, seed=3)), D, 4)
-        P_ref, _ = altproj_optimize(D, AltProjConfig(t=0.4, m=4, iterations=10, seed=3))
+        P_ref, _ = altproj_optimize(D, 4, t=0.4, iterations=10, seed=3)
         assert np.array_equal(P, P_ref)
         P, trace = design(Arm("sapiro", {"seed": 3}), D, 4)
-        P_ref, trace_ref = sapiro_optimize(D, 4, 3)
+        P_ref, trace_ref = sapiro_optimize(D, 4, seed=3)
         assert np.array_equal(P, P_ref) and np.array_equal(trace.objective, trace_ref.objective)
 
     def test_same_arm_any_m(self):
