@@ -15,7 +15,6 @@ from .altproj import (
 )
 from .coherence import (
     CoherenceReport,
-    ThresholdResult,
     coherence_report,
     gram_t_average,
     mutual_coherence,
@@ -25,13 +24,10 @@ from .coherence import (
     t_average_coherence,
 )
 from .dictlearn import (
-    CoupledConfig,
-    TrainingSet,
     atom_update_sweep,
     purge_duplicate_atoms,
     coupled_ksvd,
     ksvd,
-    sense_training_signals,
     sparse_code,
 )
 from .elad import elad_optimize, shrink_elad
@@ -63,7 +59,7 @@ from .harness import (
     synthesize_signals,
 )
 from .linalg import (
-    Dictionary,
+    as_dictionary,
     eigh_descending,
     gram,
     lsq_projection,
@@ -77,12 +73,11 @@ from .optimizers import Arm
 from .pursuit import (
     RecoveryResult,
     RecoveryStatus,
-    SparseVector,
     basis_pursuit,
     exhaustive_sparsest,
     omp,
 )
-from .sapiro import SapiroState, sapiro_objective, sapiro_optimize, spectral_state
+from .sapiro import sapiro_objective, sapiro_optimize
 
 __version__ = "0.1.0"
 
@@ -91,10 +86,8 @@ __all__ = [
     "Cell",
     "CoherenceReport",
     "ConfigError",
-    "CoupledConfig",
     "DegenerateDiagonal",
     "DegenerateSpectrum",
-    "Dictionary",
     "EmptyAverage",
     "ExperimentConfig",
     "FileSource",
@@ -107,17 +100,14 @@ __all__ = [
     "RankExceeded",
     "RecoveryResult",
     "RecoveryStatus",
-    "SapiroState",
     "SingularSystem",
-    "SparseVector",
     "Sweep",
-    "ThresholdResult",
     "TooFewColumns",
     "TooLarge",
     "Trace",
-    "TrainingSet",
     "ZeroColumn",
     "altproj_optimize",
+    "as_dictionary",
     "atom_update_sweep",
     "purge_duplicate_atoms",
     "basis_pursuit",
@@ -146,11 +136,9 @@ __all__ = [
     "run_sweep",
     "sapiro_objective",
     "sapiro_optimize",
-    "sense_training_signals",
     "shrink_elad",
     "solve_standard_lp",
     "sparse_code",
-    "spectral_state",
     "sqrt_factor",
     "symmetric_rank_truncate",
     "synthesize_signals",

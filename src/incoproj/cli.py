@@ -16,23 +16,23 @@ import sys
 import numpy as np
 
 from .coherence import coherence_report, offdiag_histogram
-from .dictlearn import CoupledConfig, TrainingSet, coupled_ksvd, ksvd
+from .dictlearn import coupled_ksvd, ksvd
 from .errors import ConfigError, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, run_sweep
-from .linalg import Dictionary, gram, set_blas_threads
+from .linalg import as_dictionary, gram, set_blas_threads
 from .matrixio import read_matrix, write_histogram, write_matrix
 from .optimizers import OPTIMIZERS, Arm, design
 
 PAPER_SCALE = dict(n=200, k=400, m=30, N=10000, S_range=tuple(range(1, 11)))
 
 
-def _load_or_generate_dictionary(args) -> Dictionary:
+def _load_or_generate_dictionary(args) -> np.ndarray:
     if args.dict:
-        return Dictionary(read_matrix(args.dict))
+        return as_dictionary(read_matrix(args.dict))
     if args.n is None or args.k is None:
         raise ConfigError("provide --dict FILE or both --n and --k")
     seed = args.dict_seed if args.dict_seed is not None else derive_seed(0, "cli-dictionary")
-    return Dictionary(np.random.default_rng(seed).standard_normal((args.n, args.k)))
+    return as_dictionary(np.random.default_rng(seed).standard_normal((args.n, args.k)))
 
 
 def _arm(name: str, args, **flags) -> Arm:
@@ -50,7 +50,7 @@ def _cmd_design(args) -> int:
     trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
 
     write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
-    report = coherence_report(P @ D.data, t=args.t, bins=args.bins)
+    report = coherence_report(P @ D, t=args.t, bins=args.bins)
     write_histogram(os.path.join(args.out_dir, "gram_hist.csv"), report.histogram)
     mu_t = "n/a" if report.mu_t is None else repr(report.mu_t)
     print(f"method={args.method} mu={report.mu!r} mu_t[{args.t!r}]={mu_t}")
@@ -103,14 +103,9 @@ def _cmd_coupled(args) -> int:
         flags["P"] = read_matrix(args.proj)
     inner = _arm(args.inner, args, **flags)
 
-    cfg = CoupledConfig(
-        lam=args.lam,
-        S=args.sparsity,
-        max_outer_iterations=args.outer,
-        inner=inner,
-        seed=args.seed,
+    P, D, Theta, trace = coupled_ksvd(
+        X, Y, args.atoms, args.sparsity, args.outer, args.seed, lam=args.lam, inner=inner
     )
-    P, D, Theta, trace = coupled_ksvd(TrainingSet(X=X, Y=Y), k=args.atoms, cfg=cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
     write_matrix(os.path.join(args.out_dir, "dictionary.csv"), D)

@@ -77,25 +77,13 @@ def gram_t_average(G: np.ndarray, t: float) -> float:
     return float(above.mean())
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Threshold picked from an order statistic, with a tie-plateau flag.
-
-    ``degenerate`` is True when strict inequality cannot carve out the
-    requested count exactly (ties at the cut value).
-    """
-
-    value: float
-    degenerate: bool
-
-
-def relative_threshold(G, percent: float) -> ThresholdResult:
+def relative_threshold(G, percent: float) -> float:
     """Threshold ``t`` such that ~``percent``% of off-diagonal magnitudes lie strictly above it.
 
     With the magnitudes sorted in decreasing order, the target count is
     ``c = ceil(percent/100 * count)`` and ``t`` is the ``(c+1)``-th largest
-    magnitude (0 if that runs off the end).  When ties make the strict
-    count differ from ``c``, the result is flagged degenerate.
+    magnitude (0 if that runs off the end).  Ties at ``t`` leave fewer
+    than ``c`` magnitudes strictly above it.
     """
     if not 0.0 < percent < 100.0:
         raise ValueError("percent must be in (0, 100)")
@@ -103,11 +91,8 @@ def relative_threshold(G, percent: float) -> ThresholdResult:
     if G.shape[1] < 2:
         raise TooFewColumns("relative threshold needs at least two columns")
     mags = np.sort(offdiag_magnitudes(G))[::-1]
-    total = mags.size
-    c = int(np.ceil(percent / 100.0 * total))
-    t = float(mags[c]) if c < total else 0.0
-    achieved = int(np.count_nonzero(mags > t))
-    return ThresholdResult(value=t, degenerate=(achieved != c))
+    c = int(np.ceil(percent / 100.0 * mags.size))
+    return float(mags[c]) if c < mags.size else 0.0
 
 
 def offdiag_histogram(G, bins: int) -> list[tuple[float, int]]:

@@ -12,7 +12,6 @@ overdetermined system (lambda^2*I + P.T P) d = [lambda*I, P.T] d_stacked.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,53 +23,8 @@ from .matrixio import Trace
 from .optimizers import Arm, design
 from .pursuit import omp
 
-
-@dataclass(frozen=True)
-class TrainingSet:
-    """Training signals X (n x p) and optional projected samples Y (m x p)."""
-
-    X: np.ndarray
-    Y: np.ndarray | None = None
-
-    def __post_init__(self):
-        X = as_matrix(self.X, "training signals")
-        object.__setattr__(self, "X", X)
-        if self.Y is not None:
-            Y = as_matrix(self.Y, "projected samples")
-            if Y.shape[1] != X.shape[1]:
-                raise ValueError("X and Y must have the same number of columns")
-            object.__setattr__(self, "Y", Y)
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-
-def sense_training_signals(X, P, sigma: float, seed: int) -> np.ndarray:
-    """Simulate the measurement side of a training set: Y = P @ X + sigma * noise."""
-    X = as_matrix(X, "training signals")
-    P = as_matrix(P, "projection")
-    Y = P @ X
-    if sigma > 0:
-        Y = Y + sigma * np.random.default_rng(seed).standard_normal(Y.shape)
-    return Y
-
-
-@dataclass(frozen=True)
-class CoupledConfig:
-    lam: float
-    S: int
-    max_outer_iterations: int
-    inner: Arm  # how P is refreshed: sapiro, elad, altproj, or fixed
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must be in [0, 1]")
-        if self.S < 1:
-            raise ValueError("S must be >= 1")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be >= 1")
+# Unit atoms whose |inner product| exceeds this count as duplicates.
+DUPLICATE_CAP = 0.99
 
 
 def sparse_code(signals: np.ndarray, D: np.ndarray, S: int) -> np.ndarray:
@@ -79,7 +33,7 @@ def sparse_code(signals: np.ndarray, D: np.ndarray, S: int) -> np.ndarray:
     p = signals.shape[1]
     Theta = np.zeros((k, p))
     for i in range(p):
-        Theta[:, i] = omp(D, signals[:, i], S).theta_hat.values
+        Theta[:, i] = omp(D, signals[:, i], S).theta_hat
     return Theta
 
 
@@ -155,11 +109,10 @@ def purge_duplicate_atoms(
     D: np.ndarray,
     Theta: np.ndarray,
     rng: np.random.Generator,
-    coherence_cap: float = 0.99,
 ) -> list[int]:
     """Break up near-duplicate atom pairs (in place); returns replaced indices.
 
-    Two unit atoms with |inner product| above ``coherence_cap`` represent
+    Two unit atoms with |inner product| above ``DUPLICATE_CAP`` represent
     the same direction; the later one is re-seeded with the currently
     worst-represented training column (its coefficient row is cleared) so
     the next coding pass can redistribute the work.
@@ -174,7 +127,7 @@ def purge_duplicate_atoms(
         for j in range(i + 1, k):
             if j in replaced:
                 continue
-            if abs(float(D[:, i] @ D[:, j])) > coherence_cap:
+            if abs(float(D[:, i] @ D[:, j])) > DUPLICATE_CAP:
                 col = None
                 for idx in order:
                     col = X[:, idx]
@@ -225,12 +178,14 @@ def ksvd(X, k: int, S: int, iterations: int, seed: int) -> tuple[np.ndarray, np.
 
 
 def coupled_ksvd(
-    training: TrainingSet, k: int, cfg: CoupledConfig
+    X, Y, k: int, S: int, iterations: int, seed: int, *, lam: float, inner: Arm
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Trace]:
-    """Jointly learn projection P and dictionary D from (X, Y) pairs.
+    """Jointly learn projection P and dictionary D from signals X (n x p)
+    and their measurements Y (m x p).
 
-    Per outer iteration: refresh P on the current D with the configured
-    optimizer; OMP-code the stacked data [lam*X; Y] against [lam*I; P] @ D;
+    Per outer iteration (at most ``iterations``): refresh the m x n P on
+    the current D with the ``inner`` arm (sapiro, elad, altproj, or fixed);
+    S-sparse OMP-code the stacked data [lam*X; Y] against [lam*I; P] @ D;
     run :func:`atom_update_sweep` on the stacked problem, recovering each
     signal-space atom through the overdetermined solve and renormalizing
     (coefficient row picks up the pre-normalization atom norm).
@@ -248,15 +203,21 @@ def coupled_ksvd(
         If lam^2 I + P.T @ P is numerically singular (lam = 0 with a
         rank-deficient P).
     """
-    if training.Y is None:
-        raise ValueError("coupled learning needs projected samples Y")
-    X, Y = training.X, training.Y
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must be in [0, 1]")
+    if S < 1:
+        raise ValueError("S must be >= 1")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    X = as_matrix(X, "training signals")
+    Y = as_matrix(Y, "projected samples")
+    if Y.shape[1] != X.shape[1]:
+        raise ValueError("X and Y must have the same number of columns")
     n, p = X.shape
     m = Y.shape[0]
     if p < k:
         warnings.warn(f"only {p} training signals for {k} atoms; expect poor training")
-    lam = cfg.lam
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     D = normalize_columns(rng.standard_normal((n, k)))
 
     term1_hist: list[float] = []
@@ -265,8 +226,8 @@ def coupled_ksvd(
     Theta = np.zeros((k, p))
     P = np.zeros((m, n))
     prev_obj = np.inf
-    for it in range(cfg.max_outer_iterations):
-        P = design(cfg.inner, D, m)[0]
+    for it in range(iterations):
+        P = design(inner, D, m)[0]
 
         M = lam * lam * np.eye(n) + P.T @ P
         w = np.linalg.eigvalsh(M)
@@ -279,7 +240,7 @@ def coupled_ksvd(
         # top block must not leak X's sign bits into LAPACK branch choices,
         # or Theta loses its exact invariance to X.
         Z = np.vstack([lam * X + 0.0, Y])
-        Theta = sparse_code(Z, W @ D, cfg.S)
+        Theta = sparse_code(Z, W @ D, S)
         backmap = (W, lambda u: scipy.linalg.cho_solve(M_factor, W.T @ u))
         for j in atom_update_sweep(Z, D, Theta, rng, backmap):
             replacements.append((it, j))

@@ -97,7 +97,7 @@ def elad_optimize(
     thr_hist: list[float] = []
     for q in range(iterations):
         if mode == "relative":
-            t = relative_threshold(G, percent).value
+            t = relative_threshold(G, percent)
             if t <= 0.0:
                 # Order statistic ran off the end; fall back to the smallest
                 # magnitude so the shrink still has a valid positive t.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coherence import offdiag_histogram
 from .errors import ConfigError, IncoprojError
-from .linalg import Dictionary, as_matrix, column_norms, gram
+from .linalg import as_dictionary, as_matrix, gram
 from .matrixio import read_matrix, write_csv, write_histogram
 from .optimizers import Arm, Key, design, lookup
 from .pursuit import basis_pursuit, omp
@@ -193,7 +193,7 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, dictionary_source=src, optimizers=tuple(arms))
 
 
-def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
+def load_dictionary(cfg: ExperimentConfig) -> np.ndarray:
     src = cfg.dictionary_source
     if isinstance(src, FileSource):
         data = read_matrix(src.path)
@@ -201,9 +201,9 @@ def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
             raise ConfigError(
                 f"dictionary file {src.path} has shape {data.shape}, expected ({cfg.n}, {cfg.k})"
             )
-        return Dictionary(data)
+        return as_dictionary(data)
     rng = np.random.default_rng(src.seed)
-    return Dictionary(rng.standard_normal((cfg.n, cfg.k)))
+    return as_dictionary(rng.standard_normal((cfg.n, cfg.k)))
 
 
 def arm_projection(arm: Arm, D, m: int) -> np.ndarray:
@@ -242,8 +242,8 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
     histograms: dict[str, list[tuple[float, int]]] = {}
     for arm in cfg.optimizers:
         P = arm_projection(arm, D, cfg.m)
-        Dhat = P @ D.data
-        norms = column_norms(Dhat)
+        Dhat = P @ D
+        norms = np.linalg.norm(Dhat, axis=0)
         degenerate = bool(np.any(norms <= 1e-12))
         if not degenerate:
             Dn = Dhat / norms
@@ -265,7 +265,7 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
                     else:
                         try:
                             res = omp(Dn, y, S) if solver_name == "omp" else basis_pursuit(Dn, y)
-                            theta_hat = res.theta_hat.values / norms
+                            theta_hat = res.theta_hat / norms
                             denom = float(np.linalg.norm(theta))
                             if denom > 0.0:
                                 rel_err = float(np.linalg.norm(theta_hat - theta)) / denom

@@ -11,8 +11,6 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -41,8 +39,6 @@ def set_blas_threads(count: int) -> None:
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
-    if not isinstance(a, np.ndarray):
-        a = getattr(a, "data", a)
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
@@ -51,55 +47,33 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """n x k matrix of atoms (columns). Construction rejects zero columns."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.data, "dictionary")
-        norms = column_norms(m)
-        bad = np.flatnonzero(norms <= ZERO_TOL)
-        if bad.size:
-            raise ZeroColumn(int(bad[0]), "dictionary atom")
-        object.__setattr__(self, "data", m)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.data, dtype=dtype)
+def as_dictionary(M) -> np.ndarray:
+    """An n x k matrix of atoms (columns) as a float64 array; rejects zero atoms."""
+    D = as_matrix(M, "dictionary")
+    column_norms(D, "dictionary atom")
+    return D
 
 
-def column_norms(M: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(M, axis=0)
-
-
-def normalize_columns(M) -> np.ndarray:
-    """Scale every column to unit Euclidean norm.
+def column_norms(M: np.ndarray, context: str = "") -> np.ndarray:
+    """Euclidean column norms.
 
     Raises
     ------
     ZeroColumn
-        If any column norm is <= ``ZERO_TOL``; the error carries the index
-        of the first offending column.
+        If any norm is <= ``ZERO_TOL``; the error carries the index of the
+        first offending column and ``context``.
     """
-    M = as_matrix(M)
-    norms = column_norms(M)
+    norms = np.linalg.norm(M, axis=0)
     bad = np.flatnonzero(norms <= ZERO_TOL)
     if bad.size:
-        raise ZeroColumn(int(bad[0]))
-    return M / norms
+        raise ZeroColumn(int(bad[0]), context)
+    return norms
+
+
+def normalize_columns(M) -> np.ndarray:
+    """Scale every column to unit Euclidean norm (ZeroColumn from :func:`column_norms`)."""
+    M = as_matrix(M)
+    return M / column_norms(M)
 
 
 def gram(M) -> np.ndarray:

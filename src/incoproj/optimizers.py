@@ -50,6 +50,10 @@ class Key:
         if self.kind is np.ndarray:
             return as_matrix(value, "projection")
         try:
+            # int() would truncate 2.7 to 2 and overflow on inf.
+            fractional = isinstance(value, (float, np.floating)) and not float(value).is_integer()
+            if self.kind is int and fractional:
+                raise ValueError(value)
             value = self.kind(value)
         except (TypeError, ValueError):
             raise ConfigError(

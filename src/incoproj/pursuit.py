@@ -14,11 +14,14 @@ from math import comb
 
 import numpy as np
 
-from .errors import NotFound, TooLarge, ZeroColumn
-from .linalg import ZERO_TOL, as_matrix, column_norms
+from .errors import NotFound, TooLarge
+from .linalg import as_matrix, column_norms
 from .lp import solve_standard_lp
 
-DEFAULT_LP_TOL = 1e-7
+# Certificate tolerance of basis_pursuit.
+LP_TOL = 1e-7
+# OMP stops once the residual norm is at most this fraction of ||y||.
+RESIDUAL_TOL = 1e-9
 # Supports enumerated by the exhaustive oracle are capped at this count.
 ENUMERATION_GUARD = 10**6
 
@@ -30,62 +33,38 @@ class RecoveryStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Length-k coefficient vector; support is the sorted set of nonzero indices."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sparse vector contains non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def k(self) -> int:
-        return self.values.size
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.values)
-
-    @property
-    def sparsity(self) -> int:
-        return int(self.support.size)
-
-
-@dataclass(frozen=True)
 class RecoveryResult:
-    theta_hat: SparseVector
+    theta_hat: np.ndarray  # length k
     residual_norm: float
     iterations_or_pivots: int
     status: RecoveryStatus
     unique: bool | None = None
 
 
-def default_residual_tol(y: np.ndarray) -> float:
-    return 1e-9 * float(np.linalg.norm(y))
+def _measurement(y, rows: int) -> np.ndarray:
+    """``y`` as a finite float vector of length ``rows``."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != rows:
+        raise ValueError("measurement length does not match matrix rows")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurement contains non-finite entries")
+    return y
 
 
-def omp(Dhat, y, S: int, residual_tol: float | None = None) -> RecoveryResult:
+def omp(Dhat, y, S: int) -> RecoveryResult:
     """Orthogonal Matching Pursuit with full least-squares re-solve per step.
 
     Selects the column with the largest normalized correlation against the
     current residual (ties go to the smallest index), re-fits on the grown
     support, and stops at support size ``S`` or residual norm at or below
-    ``residual_tol`` (default 1e-9 * ||y||).
+    ``RESIDUAL_TOL * ||y||``.
     """
     Dh = as_matrix(Dhat, "effective dictionary")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != Dh.shape[0]:
-        raise ValueError("measurement length does not match matrix rows")
+    y = _measurement(y, Dh.shape[0])
     if S < 0:
         raise ValueError("sparsity budget must be >= 0")
-    norms = column_norms(Dh)
-    bad = np.flatnonzero(norms <= ZERO_TOL)
-    if bad.size:
-        raise ZeroColumn(int(bad[0]), "effective dictionary")
-    tol = default_residual_tol(y) if residual_tol is None else float(residual_tol)
+    norms = column_norms(Dh, "effective dictionary")
+    tol = RESIDUAL_TOL * float(np.linalg.norm(y))
 
     support: list[int] = []
     coef = np.empty(0)
@@ -107,44 +86,40 @@ def omp(Dhat, y, S: int, residual_tol: float | None = None) -> RecoveryResult:
         theta[support] = coef
     residual = float(np.linalg.norm(y - Dh @ theta))
     status = RecoveryStatus.CONVERGED if residual <= tol else RecoveryStatus.MAX_ITER
-    return RecoveryResult(SparseVector(theta), residual, len(support), status)
+    return RecoveryResult(theta, residual, len(support), status)
 
 
-def basis_pursuit(Dhat, y, lp_tol: float = DEFAULT_LP_TOL) -> RecoveryResult:
+def basis_pursuit(Dhat, y) -> RecoveryResult:
     """l1-minimal solution of Dhat @ theta = y via the split u - v linear program.
 
     The program min 1@(u+v) s.t. [Dhat, -Dhat]@[u; v] = y, u,v >= 0 is
     solved with the in-package interior-point method and the answer is
     certified: equality residual, dual feasibility, duality gap, and the
     match between ||theta||_1 and the LP objective must all be within
-    ``lp_tol``.  Status is INFEASIBLE when y is not in the column span,
+    ``LP_TOL``.  Status is INFEASIBLE when y is not in the column span,
     MAX_ITER when the solver stopped without a certificate.
     """
     Dh = as_matrix(Dhat, "effective dictionary")
-    y = np.asarray(y, dtype=float).ravel()
     m, k = Dh.shape
-    if y.size != m:
-        raise ValueError("measurement length does not match matrix rows")
+    y = _measurement(y, m)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
-        return RecoveryResult(SparseVector(np.zeros(k)), 0.0, 0, RecoveryStatus.CONVERGED)
+        return RecoveryResult(np.zeros(k), 0.0, 0, RecoveryStatus.CONVERGED)
 
     z, *_ = np.linalg.lstsq(Dh, y, rcond=None)
-    if float(np.linalg.norm(Dh @ z - y)) > lp_tol * max(1.0, ynorm):
-        return RecoveryResult(
-            SparseVector(np.zeros(k)), ynorm, 0, RecoveryStatus.INFEASIBLE
-        )
+    if float(np.linalg.norm(Dh @ z - y)) > LP_TOL * max(1.0, ynorm):
+        return RecoveryResult(np.zeros(k), ynorm, 0, RecoveryStatus.INFEASIBLE)
 
     A = np.hstack([Dh, -Dh])
     c = np.ones(2 * k)
-    res = solve_standard_lp(c, A, y, tol=min(1e-10, 0.01 * lp_tol), max_iter=100)
+    res = solve_standard_lp(c, A, y, tol=min(1e-10, 0.01 * LP_TOL), max_iter=100)
     theta = res.x[:k] - res.x[k:]
 
     objective = float(c @ res.x)
-    primal_ok = float(np.linalg.norm(Dh @ theta - y)) <= lp_tol * max(1.0, ynorm)
-    dual_ok = float(np.max(np.abs(Dh.T @ res.lam))) <= 1.0 + lp_tol
-    gap_ok = abs(objective - float(y @ res.lam)) <= lp_tol * (1.0 + abs(objective))
-    l1_ok = abs(float(np.sum(np.abs(theta))) - objective) <= lp_tol * (1.0 + abs(objective))
+    primal_ok = float(np.linalg.norm(Dh @ theta - y)) <= LP_TOL * max(1.0, ynorm)
+    dual_ok = float(np.max(np.abs(Dh.T @ res.lam))) <= 1.0 + LP_TOL
+    gap_ok = abs(objective - float(y @ res.lam)) <= LP_TOL * (1.0 + abs(objective))
+    l1_ok = abs(float(np.sum(np.abs(theta))) - objective) <= LP_TOL * (1.0 + abs(objective))
     certified = primal_ok and dual_ok and gap_ok and l1_ok
 
     if certified:
@@ -152,12 +127,12 @@ def basis_pursuit(Dhat, y, lp_tol: float = DEFAULT_LP_TOL) -> RecoveryResult:
         peak = float(np.max(np.abs(theta)))
         if peak > 0.0:
             cleaned = np.where(np.abs(theta) < 1e-8 * peak, 0.0, theta)
-            if float(np.linalg.norm(Dh @ cleaned - y)) <= lp_tol * max(1.0, ynorm):
+            if float(np.linalg.norm(Dh @ cleaned - y)) <= LP_TOL * max(1.0, ynorm):
                 theta = cleaned
 
     residual = float(np.linalg.norm(y - Dh @ theta))
     status = RecoveryStatus.CONVERGED if certified else RecoveryStatus.MAX_ITER
-    return RecoveryResult(SparseVector(theta), residual, res.iterations, status)
+    return RecoveryResult(theta, residual, res.iterations, status)
 
 
 def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
@@ -177,10 +152,8 @@ def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
         If no support of size <= S_max fits.
     """
     Dh = as_matrix(Dhat, "effective dictionary")
-    y = np.asarray(y, dtype=float).ravel()
     m, k = Dh.shape
-    if y.size != m:
-        raise ValueError("measurement length does not match matrix rows")
+    y = _measurement(y, m)
     if S_max < 0:
         raise ValueError("S_max must be >= 0")
     total = sum(comb(k, s) for s in range(1, S_max + 1))
@@ -189,8 +162,7 @@ def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
 
     if float(np.linalg.norm(y)) <= tol:
         return RecoveryResult(
-            SparseVector(np.zeros(k)), float(np.linalg.norm(y)), 1, RecoveryStatus.CONVERGED,
-            unique=True,
+            np.zeros(k), float(np.linalg.norm(y)), 1, RecoveryStatus.CONVERGED, unique=True
         )
 
     tested = 0
@@ -209,7 +181,6 @@ def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
             unique = all(float(np.max(np.abs(h - first))) <= tol for h in hits[1:])
             residual = float(np.linalg.norm(y - Dh @ first))
             return RecoveryResult(
-                SparseVector(first), residual, tested, RecoveryStatus.CONVERGED,
-                unique=unique,
+                first, residual, tested, RecoveryStatus.CONVERGED, unique=unique
             )
     raise NotFound(f"no support of size <= {S_max} fits within tol={tol}")

@@ -9,8 +9,6 @@ component of the current misfit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSpectrum
@@ -21,47 +19,9 @@ from .matrixio import Trace
 RANK_TOL = 1e-10
 
 
-@dataclass
-class SapiroState:
-    """Spectral data plus the current iterate.
-
-    ``V`` holds eigenvectors of D Dᵀ (columns, eigenvalues non-increasing),
-    ``lambdas`` the clamped eigenvalues with trailing near-zeros set to 0
-    exactly, ``gamma`` the current m x n iterate (P = gamma @ V.T), and
-    ``r`` the number of zero eigenvalues.
-    """
-
-    V: np.ndarray
-    lambdas: np.ndarray
-    gamma: np.ndarray
-    r: int
-
-
-def spectral_state(D, m: int, seed: int) -> SapiroState:
-    """Eigendecompose D Dᵀ and draw the Gaussian starting iterate."""
-    Dd = as_matrix(D, "dictionary")
-    n = Dd.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} not in [1, {n}]")
-    w, V = eigh_descending(Dd @ Dd.T)
-    w = np.clip(w, 0.0, None)
-    if w[0] <= 1e-12:
-        raise DegenerateSpectrum("all eigenvalues of D @ D.T are numerically zero")
-    zero = w <= RANK_TOL * w[0]
-    w[zero] = 0.0
-    P0 = np.random.default_rng(seed).standard_normal((m, n))
-    return SapiroState(V=V, lambdas=w, gamma=P0 @ V, r=int(np.count_nonzero(zero)))
-
-
 def sapiro_objective(lambdas, Gamma) -> float:
-    """Squared Frobenius misfit ‖diag(λ) − diag(λ) ΓᵀΓ diag(λ)‖_F².
-
-    ``lambdas`` may be a 1-D vector of eigenvalues or the equivalent
-    diagonal matrix.
-    """
+    """Squared Frobenius misfit ‖diag(λ) − diag(λ) ΓᵀΓ diag(λ)‖_F² for eigenvalues λ."""
     lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim == 2:
-        lam = np.diag(lam)
     Gamma = as_matrix(Gamma, "gamma")
     if Gamma.shape[1] != lam.size:
         raise ValueError("Gamma column count must match the eigenvalue count")
@@ -79,21 +39,37 @@ def sapiro_optimize(D, m: int, seed: int) -> tuple[np.ndarray, Trace]:
     componentwise as v_j_i / λ_i wherever λ_i > 0 (components with λ_i = 0
     keep their initial values).  Finally P = Γ Vᵀ.
 
-    The trace's ``objective`` column holds the objective after each of the
-    m updates, indexed by ``step``.
+    Here D Dᵀ = V diag(λ) Vᵀ with eigenvalues non-increasing, clamped at
+    0, and those at or below ``RANK_TOL`` times the largest set to 0
+    exactly; Γ starts as P₀ V for a seeded Gaussian m x n draw P₀.  The
+    trace's ``objective`` column holds the objective after each of the m
+    updates, indexed by ``step``.
+
+    Raises
+    ------
+    DegenerateSpectrum
+        If every eigenvalue of D Dᵀ is numerically zero.
     """
-    state = spectral_state(D, m, seed)
-    lam = state.lambdas
+    Dd = as_matrix(D, "dictionary")
+    n = Dd.shape[0]
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} not in [1, {n}]")
+    lam, V = eigh_descending(Dd @ Dd.T)
+    lam = np.clip(lam, 0.0, None)
+    if lam[0] <= 1e-12:
+        raise DegenerateSpectrum("all eigenvalues of D @ D.T are numerically zero")
+    lam[lam <= RANK_TOL * lam[0]] = 0.0
+    gamma = np.random.default_rng(seed).standard_normal((m, n)) @ V
+
     nz = lam > 0.0
     objective = np.empty(m)
     for j in range(m):
-        scaled = state.gamma * lam[None, :]  # row i = v_i
+        scaled = gamma * lam[None, :]  # row i = v_i
         vj = scaled[j]
         E = -(scaled.T @ scaled) + np.outer(vj, vj)
         E[np.diag_indices_from(E)] += lam
         xi, U = top_eigh(E, 1)
         v_new = np.sqrt(max(float(xi[0]), 0.0)) * U[:, 0]
-        state.gamma[j, nz] = v_new[nz] / lam[nz]
-        objective[j] = sapiro_objective(lam, state.gamma)
-    P = state.gamma @ state.V.T
-    return P, Trace({"objective": objective}, index="step")
+        gamma[j, nz] = v_new[nz] / lam[nz]
+        objective[j] = sapiro_objective(lam, gamma)
+    return gamma @ V.T, Trace({"objective": objective}, index="step")

@@ -65,12 +65,12 @@ def test_01_sparse_uniqueness_and_recovery():
 
         try:
             oracle = exhaustive_sparsest(Dhat, y, S, 1e-8 * np.linalg.norm(y))
-            ok = oracle.unique and sorted(oracle.theta_hat.support.tolist()) == sorted(
+            ok = oracle.unique and sorted(np.flatnonzero(oracle.theta_hat).tolist()) == sorted(
                 support.tolist()
             )
             for solver in (lambda: omp(Dhat, y, S), lambda: basis_pursuit(Dhat, y)):
                 res = solver()
-                err = np.linalg.norm(res.theta_hat.values - theta) / norm_theta
+                err = np.linalg.norm(res.theta_hat - theta) / norm_theta
                 ok = ok and err <= 1e-6
         except Exception as exc:  # noqa: BLE001 - a counterexample, not a crash
             ok = False

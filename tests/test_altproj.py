@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
-    Dictionary,
     Trace,
     altproj_optimize,
     gram,
@@ -71,16 +70,16 @@ class TestRecoverProjection:
     def test_round_trip_for_realizable_gram(self):
         # build a Gram that IS of the form (PD)^T (PD) and recover P
         rng = np.random.default_rng(3)
-        D = Dictionary(gaussian_dictionary(8, 14, 3))
+        D = gaussian_dictionary(8, 14, 3)
         P_true = rng.standard_normal((4, 8))
-        Dhat = P_true @ np.asarray(D)
+        Dhat = P_true @ D
         G = Dhat.T @ Dhat
         P = recover_projection(G, D, 4)
-        H = (np.asarray(P) @ np.asarray(D)).T @ (np.asarray(P) @ np.asarray(D))
+        H = (P @ D).T @ (P @ D)
         assert_allclose(H, G, atol=1e-8)
 
     def test_rank_exceeded(self):
-        D = Dictionary(gaussian_dictionary(8, 14, 4))
+        D = gaussian_dictionary(8, 14, 4)
         G = np.eye(14)  # full rank; cannot be factored through m=4 rows
         with pytest.raises(RankExceeded):
             recover_projection(G, D, 4)
@@ -88,7 +87,7 @@ class TestRecoverProjection:
 
 class TestOptimize:
     def test_trace_and_output_shapes(self):
-        D = Dictionary(gaussian_dictionary(10, 20, 5))
+        D = gaussian_dictionary(10, 20, 5)
         P, trace = altproj_optimize(D, 5, t=0.4, iterations=30, seed=0)
         assert np.asarray(P).shape == (5, 10)
         assert isinstance(trace, Trace)
@@ -97,12 +96,12 @@ class TestOptimize:
 
     def test_feasibility_reached_small_instance(self):
         """With a loose threshold the iteration lands inside the constraint set."""
-        D = Dictionary(gaussian_dictionary(12, 16, 6))
+        D = gaussian_dictionary(12, 16, 6)
         _, trace = altproj_optimize(D, 8, t=0.55, iterations=400, seed=1)
         assert trace.max_offdiag[-1] <= 0.55 + 0.05
 
     def test_deterministic(self):
-        D = Dictionary(gaussian_dictionary(9, 15, 7))
+        D = gaussian_dictionary(9, 15, 7)
         params = dict(t=0.4, iterations=25, seed=3)
         P1, t1 = altproj_optimize(D, 4, **params)
         P2, t2 = altproj_optimize(D, 4, **params)
@@ -110,12 +109,12 @@ class TestOptimize:
         assert t1.max_offdiag.tobytes() == t2.max_offdiag.tobytes()
 
     def test_m_bounds(self):
-        D = Dictionary(gaussian_dictionary(6, 8, 8))
+        D = gaussian_dictionary(6, 8, 8)
         with pytest.raises(ValueError):
             altproj_optimize(D, 9, t=0.4, iterations=5, seed=0)
 
     def test_trace_csv_layout(self, tmp_path):
-        D = Dictionary(gaussian_dictionary(8, 12, 9))
+        D = gaussian_dictionary(8, 12, 9)
         _, trace = altproj_optimize(D, 4, t=0.5, iterations=4, seed=2)
         out = tmp_path / "trace.csv"
         trace.to_csv(out)

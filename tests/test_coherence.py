@@ -115,15 +115,17 @@ class TestRelativeThreshold:
         # magnitudes {0.9, 0.5, 0.1}: asking for 33.4% of 3 pairs means
         # ceil(1.002) = 2 strictly above, so the threshold is 0.1
         G = gram_with_offdiags([0.9, 0.5, 0.1])
-        res = relative_threshold(G, 33.4)
-        assert_allclose(res.value, 0.1, atol=0)
-        assert int(np.sum(offdiag_magnitudes(G) > res.value)) == 2
+        t = relative_threshold(G, 33.4)
+        assert_allclose(t, 0.1, atol=0)
+        assert int(np.sum(offdiag_magnitudes(G) > t)) == 2
 
     def test_tie_degeneracy_flagged(self):
         G = gram_with_offdiags([0.7, 0.7, 0.7])
-        res = relative_threshold(G, 50.0)
-        # order statistic lands inside a tie run: achieved count != target
-        assert res.degenerate
+        t = relative_threshold(G, 50.0)
+        # order statistic lands inside a tie run: nothing lies strictly
+        # above it, although the target count is 2
+        assert t == 0.7
+        assert not np.any(offdiag_magnitudes(G) > t)
 
     def test_percent_bounds(self):
         G = gram_with_offdiags([0.5, 0.3, 0.2])
@@ -139,16 +141,17 @@ class TestRelativeThreshold:
             G = gram(D)
             mags = offdiag_magnitudes(G)
             pct = float(rng.uniform(5, 95))
-            res = relative_threshold(G, pct)
+            t = relative_threshold(G, pct)
             want = int(np.ceil(pct / 100.0 * mags.size))
-            got = int(np.sum(mags > res.value))
-            if not res.degenerate and want < mags.size:
+            got = int(np.sum(mags > t))
+            tied = np.sum(mags == t) > 1
+            if not tied and want < mags.size:
                 assert got == want
 
     def test_rank_off_the_end_gives_zero(self):
         G = gram_with_offdiags([0.9, 0.5, 0.1])
-        res = relative_threshold(G, 99.9)  # ceil(2.997) = 3 = population
-        assert res.value == 0.0
+        t = relative_threshold(G, 99.9)  # ceil(2.997) = 3 = population
+        assert t == 0.0
 
 
 class TestHistogramAndReport:

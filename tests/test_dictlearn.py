@@ -4,14 +4,11 @@ from numpy.testing import assert_allclose
 
 from incoproj import (
     Arm,
-    CoupledConfig,
-    TrainingSet,
     atom_update_sweep,
     coupled_ksvd,
     ksvd,
     normalize_columns,
     purge_duplicate_atoms,
-    sense_training_signals,
     sparse_code,
 )
 from incoproj import dictlearn
@@ -20,7 +17,13 @@ from incoproj.errors import SingularSystem
 from synthetic import incoherent_frame, planted_signals
 
 
+def sense(X, P, sigma, seed):
+    """Measurements Y = P @ X + sigma * seeded Gaussian noise."""
+    return P @ X + sigma * np.random.default_rng(seed).standard_normal((P.shape[0], X.shape[1]))
+
+
 def make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01, seed=0):
+    """A planted training pair (X, Y)."""
     rng = np.random.default_rng(seed)
     D_true = normalize_columns(rng.standard_normal((n, k)))
     Theta = np.zeros((k, p))
@@ -29,35 +32,16 @@ def make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01, seed=0):
         Theta[sup, col] = rng.standard_normal(S)
     X = D_true @ Theta
     P = rng.standard_normal((m, n)) / np.sqrt(m)
-    Y = sense_training_signals(X, P, sigma, seed + 1)
-    return TrainingSet(X=X, Y=Y)
+    return X, sense(X, P, sigma, seed + 1)
 
 
 class TestTrainingSet:
+    """The (X, Y) pair that coupled_ksvd takes."""
+
     def test_column_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingSet(X=np.ones((4, 10)), Y=np.ones((2, 9)))
-
-    def test_signal_count(self):
-        ts = TrainingSet(X=np.ones((4, 10)))
-        assert ts.p == 10
-        assert ts.Y is None
-
-    def test_sensing_is_noiseless_at_zero_sigma(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((6, 20))
-        P = rng.standard_normal((3, 6))
-        assert np.array_equal(sense_training_signals(X, P, 0.0, 99), P @ X)
-
-    def test_sensing_noise_is_seeded(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((6, 20))
-        P = rng.standard_normal((3, 6))
-        Y1 = sense_training_signals(X, P, 0.5, 7)
-        Y2 = sense_training_signals(X, P, 0.5, 7)
-        Y3 = sense_training_signals(X, P, 0.5, 8)
-        assert np.array_equal(Y1, Y2)
-        assert not np.array_equal(Y1, Y3)
+        with pytest.raises(ValueError, match="X and Y must have the same number of columns"):
+            coupled_ksvd(np.ones((4, 10)), np.ones((2, 9)), 8, 1, 1, 0,
+                         lam=0.5, inner=Arm("sapiro", {"seed": 0}))
 
 
 class TestSparseCoding:
@@ -223,28 +207,32 @@ class TestKSVD:
 
 
 class TestCoupledKSVD:
-    def test_requires_projected_samples(self):
-        ts = TrainingSet(X=np.ones((4, 20)))
-        cfg = CoupledConfig(lam=0.5, S=1, max_outer_iterations=1,
-                            inner=Arm("sapiro", {"seed": 0}), seed=0)
-        with pytest.raises(ValueError):
-            coupled_ksvd(ts, 8, cfg)
-
     def test_config_validation(self):
-        for bad in (dict(lam=-0.1), dict(lam=1.5), dict(S=0),
-                    dict(max_outer_iterations=0)):
-            kw = dict(lam=0.5, S=1, max_outer_iterations=1,
-                      inner=Arm("sapiro", {"seed": 0}), seed=0)
+        X, Y = np.ones((4, 20)), np.ones((2, 20))
+        for bad, message in ((dict(lam=-0.1), "lam must be in"), (dict(lam=1.5), "lam must be in"),
+                             (dict(S=0), "S must be"), (dict(iterations=0), "iterations must be")):
+            kw = dict(k=8, S=1, iterations=1, seed=0, lam=0.5, inner=Arm("sapiro", {"seed": 0}))
             kw.update(bad)
-            with pytest.raises(ValueError):
-                CoupledConfig(**kw)
+            with pytest.raises(ValueError, match=message):
+                coupled_ksvd(X, Y, **kw)
+
+    def test_checks_in_order(self):
+        # the arguments first, then X, then Y, then their column counts
+        def learn(X, Y, S=1):
+            return coupled_ksvd(X, Y, 8, S, 1, 0, lam=0.5, inner=Arm("sapiro", {"seed": 0}))
+
+        nan_X, inf_Y = np.full((4, 20), np.nan), np.full((2, 9), np.inf)
+        with pytest.raises(ValueError, match="S must be"):
+            learn(nan_X, inf_Y, S=0)
+        with pytest.raises(ValueError, match="training signals contains non-finite"):
+            learn(nan_X, inf_Y)
+        with pytest.raises(ValueError, match="projected samples contains non-finite"):
+            learn(np.ones((4, 20)), inf_Y)
 
     def test_fixed_projection_shape_checked(self):
-        ts = make_training(seed=14)
-        cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=1,
-                            inner=Arm("fixed", {"P": np.ones((3, 3))}), seed=0)
+        X, Y = make_training(seed=14)
         with pytest.raises(ValueError):
-            coupled_ksvd(ts, 40, cfg)
+            coupled_ksvd(X, Y, 40, 3, 1, 0, lam=0.5, inner=Arm("fixed", {"P": np.ones((3, 3))}))
 
     def test_atom_recovery_round_trip(self):
         # overdetermined solve: d_rec = (lam^2 I + P'P)^{-1} W' (W d)
@@ -263,10 +251,9 @@ class TestCoupledKSVD:
         rng = np.random.default_rng(17)
         n, k, p = 10, 20, 80
         X = rng.standard_normal((n, p))
-        ts = TrainingSet(X=X, Y=X.copy())
-        cfg = CoupledConfig(lam=1.0, S=2, max_outer_iterations=4,
-                            inner=Arm("fixed", {"P": np.eye(n)}), seed=5)
-        P, D, Theta, trace = coupled_ksvd(ts, k, cfg)
+        P, D, Theta, trace = coupled_ksvd(
+            X, X.copy(), k, 2, 4, 5, lam=1.0, inner=Arm("fixed", {"P": np.eye(n)})
+        )
         assert np.array_equal(P, np.eye(n))
         assert np.array_equal(trace.term1, trace.term2)
         D_ref, T_ref, tr_ref = ksvd(X, k, 2, iterations=len(trace), seed=5)
@@ -280,21 +267,18 @@ class TestCoupledKSVD:
         Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
         X = rng.standard_normal((n, p))
         Y = Q @ X
-        cfg = CoupledConfig(lam=0.0, S=2, max_outer_iterations=3,
-                            inner=Arm("fixed", {"P": Q}), seed=6)
-        _, _, Theta_a, _ = coupled_ksvd(TrainingSet(X=X, Y=Y), k, cfg)
+        fixed = Arm("fixed", {"P": Q})
+        _, _, Theta_a, _ = coupled_ksvd(X, Y, k, 2, 3, 6, lam=0.0, inner=fixed)
         X_perturbed = X + rng.standard_normal(X.shape)
-        _, _, Theta_b, _ = coupled_ksvd(TrainingSet(X=X_perturbed, Y=Y), k, cfg)
+        _, _, Theta_b, _ = coupled_ksvd(X_perturbed, Y, k, 2, 3, 6, lam=0.0, inner=fixed)
         assert Theta_a.tobytes() == Theta_b.tobytes()
 
     def test_lam_zero_wide_projection_is_singular(self):
-        ts = make_training(n=20, m=8, seed=19)
+        X, Y = make_training(n=20, m=8, seed=19)
         rng = np.random.default_rng(20)
         P = rng.standard_normal((8, 20))
-        cfg = CoupledConfig(lam=0.0, S=3, max_outer_iterations=2,
-                            inner=Arm("fixed", {"P": P}), seed=0)
         with pytest.raises(SingularSystem):
-            coupled_ksvd(ts, 40, cfg)
+            coupled_ksvd(X, Y, 40, 3, 2, 0, lam=0.0, inner=Arm("fixed", {"P": P}))
 
     def test_monitor_combined_objective_not_monotone(self):
         # run-and-monitor configuration.  The projection refresh targets
@@ -305,37 +289,36 @@ class TestCoupledKSVD:
         # by test_fixed_projection_descends.
         increases = 0
         for seed in range(3):
-            ts = make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01,
-                               seed=100 + seed)
-            cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=10,
-                                inner=Arm("sapiro", {"seed": 0}), seed=seed)
-            P, D, Theta, trace = coupled_ksvd(ts, 40, cfg)
+            X, Y = make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01,
+                                 seed=100 + seed)
+            lam = 0.5
+            P, D, Theta, trace = coupled_ksvd(
+                X, Y, 40, 3, 10, seed, lam=lam, inner=Arm("sapiro", {"seed": 0})
+            )
             assert len(trace.term1) == len(trace.term2) >= 1
             assert np.isfinite(trace.term1).all()
             assert np.isfinite(trace.term2).all()
             assert np.all(trace.term1 >= 0) and np.all(trace.term2 >= 0)
-            obj = cfg.lam**2 * trace.term1 + trace.term2
+            obj = lam**2 * trace.term1 + trace.term2
             increases += int(np.sum(np.diff(obj) > 1e-8))
         assert increases >= 1
 
     def test_fixed_projection_descends(self):
         # with P frozen there is no refresh to fight; the stacked
         # objective should fall from start to finish
-        ts = make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01, seed=200)
+        X, _ = make_training(n=20, k=40, m=8, p=200, S=3, sigma=0.01, seed=200)
         rng = np.random.default_rng(21)
         P = rng.standard_normal((8, 20)) / np.sqrt(8)
-        ts = TrainingSet(X=ts.X, Y=sense_training_signals(ts.X, P, 0.01, 7))
-        cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=10,
-                            inner=Arm("fixed", {"P": P}), seed=1)
-        _, _, _, trace = coupled_ksvd(ts, 40, cfg)
-        obj = cfg.lam**2 * trace.term1 + trace.term2
+        lam = 0.5
+        _, _, _, trace = coupled_ksvd(
+            X, sense(X, P, 0.01, 7), 40, 3, 10, 1, lam=lam, inner=Arm("fixed", {"P": P})
+        )
+        obj = lam**2 * trace.term1 + trace.term2
         assert obj[-1] < 0.7 * obj[0]
 
     def test_trace_csv_layout(self, tmp_path):
-        ts = make_training(seed=22)
-        cfg = CoupledConfig(lam=0.5, S=3, max_outer_iterations=2,
-                            inner=Arm("sapiro", {"seed": 0}), seed=2)
-        _, _, _, trace = coupled_ksvd(ts, 40, cfg)
+        X, Y = make_training(seed=22)
+        _, _, _, trace = coupled_ksvd(X, Y, 40, 3, 2, 2, lam=0.5, inner=Arm("sapiro", {"seed": 0}))
         out = tmp_path / "coupled.csv"
         trace.to_csv(out)
         lines = out.read_text().splitlines()
@@ -343,20 +326,18 @@ class TestCoupledKSVD:
         assert lines[1].startswith("0,")
 
 
-def _learn_ksvd(ts, k):
-    return ksvd(ts.X, k, 2, iterations=5, seed=0)
+def _learn_ksvd(X, Y, k):
+    return ksvd(X, k, 2, iterations=5, seed=0)
 
 
-def _learn_coupled(ts, k):
-    inner = Arm("sapiro", {"seed": 0})
-    cfg = CoupledConfig(lam=1.0, S=2, max_outer_iterations=5, inner=inner, seed=0)
-    return coupled_ksvd(ts, k, cfg)[1:]
+def _learn_coupled(X, Y, k):
+    return coupled_ksvd(X, Y, k, 2, 5, 0, lam=1.0, inner=Arm("sapiro", {"seed": 0}))[1:]
 
 
 @pytest.mark.parametrize("learn", [_learn_ksvd, _learn_coupled], ids=["ksvd", "coupled_ksvd"])
 def test_reseeded_atoms_are_recorded(learn, monkeypatch):
     # 80 atoms for data planted on 60: some atoms go unused and are re-seeded
-    ts = make_training(n=20, k=60, m=8, p=400, S=2, seed=0)
+    X, Y = make_training(n=20, k=60, m=8, p=400, S=2, seed=0)
     codings, seen = [], []  # every outer iteration codes the signals exactly once
 
     def spy(name, on_result):
@@ -372,12 +353,12 @@ def test_reseeded_atoms_are_recorded(learn, monkeypatch):
     spy("sparse_code", codings.append)
     for name in ("atom_update_sweep", "purge_duplicate_atoms"):
         spy(name, lambda replaced: seen.extend((len(codings) - 1, j) for j in replaced))
-    D, Theta, trace = learn(ts, 80)
+    D, Theta, trace = learn(X, Y, 80)
     assert len(seen) >= 2
     assert trace.replacements == tuple(seen)
     assert_allclose(np.linalg.norm(D, axis=0), 1.0, atol=1e-12)
 
     monkeypatch.undo()
-    D2, Theta2, trace2 = learn(ts, 80)
+    D2, Theta2, trace2 = learn(X, Y, 80)
     assert D.tobytes() == D2.tobytes() and Theta.tobytes() == Theta2.tobytes()
     assert trace2.replacements == trace.replacements

@@ -4,7 +4,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
-    Dictionary,
     elad_optimize,
     gram,
     normalize_columns,
@@ -48,14 +47,14 @@ class TestShrink:
 
 class TestOptimize:
     def test_smoke_single_iteration(self):
-        D = Dictionary(gaussian_dictionary(8, 16, 0))
+        D = gaussian_dictionary(8, 16, 0)
         P, trace = elad_optimize(D, 4, mode="fixed", t=0.5, gamma=0.6, iterations=1, seed=0)
         assert np.asarray(P).shape == (4, 8)
         assert np.all(np.isfinite(np.asarray(P)))
         assert len(trace) == 1
 
     def test_trace_lengths_and_fields(self):
-        D = Dictionary(gaussian_dictionary(8, 16, 1))
+        D = gaussian_dictionary(8, 16, 1)
         _, trace = elad_optimize(D, 4, mode="fixed", t=0.4, gamma=0.6, iterations=7, seed=3)
         assert len(trace.mu_t) == len(trace.mu) == len(trace.threshold) == 7
         assert np.all(trace.mu <= 1.0 + 1e-12)
@@ -63,18 +62,18 @@ class TestOptimize:
 
     def test_improves_t_average_on_seeded_instance(self):
         """Golden check: 50 iterations beat iteration 1 on the 8x16, m=4 case."""
-        D = Dictionary(gaussian_dictionary(8, 16, 500))
+        D = gaussian_dictionary(8, 16, 500)
         P, trace = elad_optimize(D, 4, mode="fixed", t=0.5, gamma=0.6, iterations=50, seed=1)
         assert trace.mu_t[-1] <= trace.mu_t[0]
         # goldens recorded from the first run of this configuration
         assert_allclose(trace.mu_t[0], 0.731803742123, rtol=1e-9)
         assert_allclose(trace.mu_t[-1], 0.692139375840, rtol=1e-9)
         # final trace row is consistent with a fresh measurement
-        Dhat = normalize_columns(np.asarray(P) @ np.asarray(D))
+        Dhat = normalize_columns(P @ D)
         assert_allclose(t_average_coherence(Dhat, 0.5), trace.mu_t[-1], atol=1e-12)
 
     def test_relative_mode_runs_and_thresholds_vary(self):
-        D = Dictionary(gaussian_dictionary(10, 20, 2))
+        D = gaussian_dictionary(10, 20, 2)
         _, trace = elad_optimize(
             D, 5, mode="relative", percent=25.0, gamma=0.6, iterations=12, seed=1
         )
@@ -82,7 +81,7 @@ class TestOptimize:
         assert np.all(trace.threshold >= 0.0)
 
     def test_seed_determinism(self):
-        D = Dictionary(gaussian_dictionary(9, 18, 4))
+        D = gaussian_dictionary(9, 18, 4)
         params = dict(mode="fixed", t=0.3, gamma=0.7, iterations=10, seed=42)
         P1, t1 = elad_optimize(D, 4, **params)
         P2, t2 = elad_optimize(D, 4, **params)
@@ -90,12 +89,12 @@ class TestOptimize:
         assert t1.mu_t.tobytes() == t2.mu_t.tobytes()
 
     def test_m_bounds_enforced(self):
-        D = Dictionary(gaussian_dictionary(6, 12, 5))
+        D = gaussian_dictionary(6, 12, 5)
         with pytest.raises(ValueError):
             elad_optimize(D, 7, mode="fixed", t=0.5, gamma=0.6, iterations=2, seed=0)
 
     def test_trace_csv_layout(self, tmp_path):
-        D = Dictionary(gaussian_dictionary(8, 16, 6))
+        D = gaussian_dictionary(8, 16, 6)
         _, trace = elad_optimize(D, 4, mode="fixed", t=0.4, gamma=0.6, iterations=3, seed=2)
         out = tmp_path / "trace.csv"
         trace.to_csv(out)

@@ -153,7 +153,7 @@ class TestFileSource:
         path = tmp_path / "dict.csv"
         write_matrix(path, D)
         cfg = tiny_config(dictionary_source=FileSource(path=str(path)))
-        assert_allclose(load_dictionary(cfg).data, D, rtol=1e-12)
+        assert_allclose(load_dictionary(cfg), D, rtol=1e-12)
 
 
 def trial_records(sweep) -> list[dict]:
@@ -425,6 +425,24 @@ class TestCLI:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_atom_dictionary_rejected(self, tmp_path, capsys):
+        D = np.random.default_rng(5).standard_normal((6, 12))  # the config's n x k
+        D[:, 3] = 0.0
+        dict_path = tmp_path / "D.csv"
+        write_matrix(dict_path, D)
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(
+            CONFIG_TEXT.replace("dictionary_source = gaussian:5", f"dictionary_source = file:{dict_path}")
+        )
+        commands = (
+            ["design", "--method", "elad", "--dict", str(dict_path), "--m", "4",
+             "--out-dir", str(tmp_path / "design")],
+            ["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "bench")],
+        )
+        for argv in commands:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: column 3 has zero norm (dictionary atom)\n"
 
     def test_bench_round_trip(self, tmp_path):
         cfg_path = tmp_path / "bench.cfg"

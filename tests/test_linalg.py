@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from incoproj import Dictionary
 from incoproj.errors import InvalidRank, NotPSD, ZeroColumn
 from incoproj.linalg import (
+    as_dictionary,
     as_matrix,
     column_norms,
     eigh_descending,
@@ -31,18 +31,18 @@ class TestAsMatrix:
             as_matrix([[1.0, np.nan]], "bad")
 
 
-class TestDictionaryType:
-    def test_shape_accessors(self):
-        rng = np.random.default_rng(0)
-        D = Dictionary(rng.standard_normal((6, 11)))
-        assert D.n == 6 and D.k == 11 and D.shape == (6, 11)
-        assert np.asarray(D).shape == (6, 11)
+class TestAsDictionary:
+    def test_returns_float_matrix(self):
+        D = as_dictionary([[1, 0, 2], [0, 3, 4]])
+        assert isinstance(D, np.ndarray) and D.dtype == np.float64 and D.shape == (2, 3)
+        with pytest.raises(ValueError, match="dictionary contains non-finite"):
+            as_dictionary([[1.0, np.nan], [1.0, 1.0]])
 
     def test_zero_column_rejected(self):
         M = np.ones((4, 3))
         M[:, 1] = 0.0
-        with pytest.raises(ZeroColumn) as exc:
-            Dictionary(M)
+        with pytest.raises(ZeroColumn, match=r"column 1 has zero norm \(dictionary atom\)") as exc:
+            as_dictionary(M)
         assert exc.value.index == 1
 
 
@@ -55,6 +55,12 @@ class TestColumnOps:
         # directions preserved
         cos = np.sum(N * M, axis=0) / column_norms(M)
         assert_allclose(cos, np.ones(12), atol=1e-12)
+
+    def test_zero_norm_names_its_context(self):
+        M = np.ones((3, 4))
+        M[:, 2] = 1e-13
+        with pytest.raises(ZeroColumn, match=r"^column 2 has zero norm \(ctx\)$"):
+            column_norms(M, "ctx")
 
     def test_normalize_zero_column_raises(self):
         M = np.zeros((3, 2))

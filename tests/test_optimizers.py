@@ -32,6 +32,14 @@ class TestArm:
         assert type(arm.params["iterations"]) is int and type(arm.params["seed"]) is int
         assert Arm("elad", arm.params) == arm
 
+    def test_int_keys_reject_fractional_floats(self):
+        # int() would truncate 2.7 to 2 and raise OverflowError on inf
+        for value in (2.7, float("inf"), np.float64(-0.5)):
+            with pytest.raises(ConfigError, match=r"key 'elad.iterations': expected integer, got "):
+                Arm("elad", {"iterations": value})
+        assert Arm("elad", {"iterations": 50.0}).params["iterations"] == 50
+        assert Arm("elad", {"iterations": "50"}).params["iterations"] == 50
+
     @pytest.mark.parametrize(
         "name, params",
         [

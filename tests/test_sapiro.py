@@ -3,44 +3,44 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
-    Dictionary,
+    eigh_descending,
     normalize_columns,
     sapiro_objective,
     sapiro_optimize,
-    spectral_state,
 )
 from incoproj.errors import DegenerateSpectrum
 
 from synthetic import gaussian_dictionary
 
 
+def spectrum(D):
+    """The clamped eigenvalues and eigenvectors of D Dᵀ that sapiro_optimize works in."""
+    lam, V = eigh_descending(D @ D.T)
+    return np.clip(lam, 0.0, None), V
+
+
 class TestSpectralState:
-    def test_decomposition_invariants(self):
-        for seed in range(5):
-            D = Dictionary(gaussian_dictionary(10, 25, seed))
-            st = spectral_state(D, m=4, seed=seed)
-            A = np.asarray(D)
-            assert_allclose(st.V @ np.diag(st.lambdas) @ st.V.T, A @ A.T, atol=1e-8)
-            assert_allclose(st.V.T @ st.V, np.eye(10), atol=1e-10)
-            assert np.all(np.diff(st.lambdas) <= 1e-12)
-            assert np.all(st.lambdas >= 0.0)
-            assert st.gamma.shape == (4, 10)
+    """The eigendecomposition and seeded start inside sapiro_optimize."""
 
     def test_rank_deficiency_counted(self):
-        # rank-3 dictionary in R^6: three exact zero eigenvalues
+        # rank-3 dictionary in R^6: three exact zero eigenvalues, whose
+        # eigenvector components of P keep the seeded Gaussian draw
         rng = np.random.default_rng(0)
         B = rng.standard_normal((6, 3))
         C = rng.standard_normal((3, 9))
-        D = Dictionary(normalize_columns(B @ C))
-        st = spectral_state(D, m=2, seed=0)
-        assert st.r == 3
-        assert np.all(st.lambdas[-3:] == 0.0)
+        D = normalize_columns(B @ C)
+        _, V = spectrum(D)
+        P, _ = sapiro_optimize(D, m=2, seed=0)
+        P0 = np.random.default_rng(0).standard_normal((2, 6))
+        null = V[:, -3:]
+        assert_allclose(P @ null, P0 @ null, atol=1e-12)
+        assert not np.allclose(P @ V[:, :3], P0 @ V[:, :3], atol=1e-6)
 
     def test_degenerate_spectrum_raises(self):
         # columns clear the zero-norm gate but the spectrum is numerically flat
         tiny = np.full((4, 6), 5e-8)
         with pytest.raises(DegenerateSpectrum):
-            spectral_state(Dictionary(tiny), m=2, seed=0)
+            sapiro_optimize(tiny, m=2, seed=0)
 
 
 class TestObjective:
@@ -48,19 +48,10 @@ class TestObjective:
         # orthonormal D with m = n: lambdas all 1, Gamma orthonormal gives 0
         rng = np.random.default_rng(1)
         Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        D = Dictionary(Q)
-        P, trace = sapiro_optimize(D, m=8, seed=0)
-        st = spectral_state(D, m=8, seed=0)
-        val = sapiro_objective(st.lambdas, np.asarray(P) @ st.V)
+        P, trace = sapiro_optimize(Q, m=8, seed=0)
+        lam, V = spectrum(Q)
+        val = sapiro_objective(lam, P @ V)
         assert val <= 1e-20
-
-    def test_accepts_diagonal_matrix_form(self):
-        rng = np.random.default_rng(2)
-        lam = np.abs(rng.standard_normal(6)) + 0.1
-        G = rng.standard_normal((3, 6))
-        a = sapiro_objective(lam, G)
-        b = sapiro_objective(np.diag(lam), G)
-        assert_allclose(a, b, atol=0)
 
     def test_manual_small_case(self):
         # lambdas (2, 1), Gamma = I2: residual is lam - lam^2 on the diagonal
@@ -72,7 +63,7 @@ class TestObjective:
 
 class TestOptimize:
     def test_projection_shape_and_determinism(self):
-        D = Dictionary(gaussian_dictionary(12, 30, 3))
+        D = gaussian_dictionary(12, 30, 3)
         P1, t1 = sapiro_optimize(D, m=5, seed=9)
         P2, t2 = sapiro_optimize(D, m=5, seed=9)
         assert np.asarray(P1).shape == (5, 12)
@@ -82,19 +73,19 @@ class TestOptimize:
     def test_trace_nonincreasing(self):
         """Each rank-one update eliminates the largest remaining error term."""
         for seed in range(20):
-            D = Dictionary(gaussian_dictionary(15, 30, 100 + seed))
+            D = gaussian_dictionary(15, 30, 100 + seed)
             _, trace = sapiro_optimize(D, m=6, seed=seed)
             assert len(trace) == 6
             assert np.all(np.diff(trace.objective) <= 1e-9 * max(trace.objective[0], 1.0))
 
     def test_trace_matches_objective_at_exit(self):
-        D = Dictionary(gaussian_dictionary(9, 14, 4))
+        D = gaussian_dictionary(9, 14, 4)
         P, trace = sapiro_optimize(D, m=3, seed=5)
-        st = spectral_state(D, m=3, seed=5)
-        val = sapiro_objective(st.lambdas, np.asarray(P) @ st.V)
+        lam, V = spectrum(D)
+        val = sapiro_objective(lam, P @ V)
         assert_allclose(val, trace.objective[-1], rtol=1e-10, atol=1e-12)
 
     def test_m_larger_than_n_rejected(self):
-        D = Dictionary(gaussian_dictionary(6, 10, 5))
+        D = gaussian_dictionary(6, 10, 5)
         with pytest.raises(ValueError):
             sapiro_optimize(D, m=7, seed=0)
