@@ -49,12 +49,9 @@ from .errors import (
 from .harness import (
     Cell,
     ExperimentConfig,
-    FileSource,
-    GaussianSource,
     Sweep,
     derive_seed,
     emit_reports,
-    resolve_config,
     run_sweep,
     synthesize_signals,
 )
@@ -90,8 +87,6 @@ __all__ = [
     "DegenerateSpectrum",
     "EmptyAverage",
     "ExperimentConfig",
-    "FileSource",
-    "GaussianSource",
     "IncoprojError",
     "InvalidRank",
     "LPResult",
@@ -132,7 +127,6 @@ __all__ = [
     "project_rank",
     "recover_projection",
     "relative_threshold",
-    "resolve_config",
     "run_sweep",
     "sapiro_objective",
     "sapiro_optimize",

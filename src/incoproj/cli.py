@@ -89,7 +89,7 @@ def _cmd_ksvd(args) -> int:
     write_matrix(os.path.join(args.out_dir, "dictionary.csv"), D)
     write_matrix(os.path.join(args.out_dir, "coefficients.csv"), Theta)
     trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
-    print(f"ksvd final objective = {trace.objective[-1]!r}")
+    print(f"ksvd final objective = {float(trace.objective[-1])!r}")
     return 0
 
 
@@ -111,7 +111,7 @@ def _cmd_coupled(args) -> int:
     write_matrix(os.path.join(args.out_dir, "dictionary.csv"), D)
     write_matrix(os.path.join(args.out_dir, "coefficients.csv"), Theta)
     trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
-    print(f"coupled final terms = {trace.term1[-1]!r}, {trace.term2[-1]!r}")
+    print(f"coupled final terms = {float(trace.term1[-1])!r}, {float(trace.term2[-1])!r}")
     return 0
 
 

@@ -9,12 +9,10 @@ a seed derived off the master seed, so every arm sees the same planted
 (theta, x) pairs — a paired comparison.
 """
 
-from __future__ import annotations
-
 import hashlib
-import io
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
 
 import numpy as np
@@ -52,34 +50,39 @@ def derive_seed(master_seed: int, *tags) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-@dataclass(frozen=True)
-class GaussianSource:
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class FileSource:
-    path: str
-
-
 # The optimizers a sweep may run (coupled learning also has "fixed").
 SWEEP_OPTIMIZERS = ("none", "elad", "sapiro", "altproj")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """One sweep.  Its fields, in order, are the config file's base keys.
+
+    Construction normalizes and checks every value, as ``Arm`` does its
+    params: scalar fields take their annotated type, ``dictionary_source``
+    (``gaussian``, ``gaussian:<seed>`` or ``file:<path>``) takes its
+    canonical form, and unset seeds (a bare ``gaussian`` source, an arm's
+    ``seed``) are derived from ``master_seed``.
+    """
+
     n: int
     k: int
     m: int
     S_range: tuple[int, ...]
     N: int
-    dictionary_source: GaussianSource | FileSource
+    dictionary_source: str = "gaussian"
     optimizers: tuple[Arm, ...]
     solver: str = "both"  # "omp" | "bp" | "both"
     failure_threshold: float = 1e-4
     master_seed: int = 0
 
     def __post_init__(self):
+        # f.type is the type itself, not its text, as long as this module
+        # does not postpone the evaluation of annotations.
+        for f in fields(self):
+            if f.type in (int, float, str):
+                value = Key(f.name, f.type).parse(getattr(self, f.name), f.name)
+                object.__setattr__(self, f.name, value)
         if self.n < 1 or self.k < 2 or self.m < 1:
             raise ConfigError("need n >= 1, k >= 2, m >= 1")
         if not self.S_range:
@@ -88,10 +91,16 @@ class ExperimentConfig:
             raise ConfigError("sparsity levels must be >= 0")
         if any(S >= self.m for S in self.S_range):
             raise ConfigError("every S must be < m")
+        if len(set(self.S_range)) != len(self.S_range):
+            raise ConfigError(f"S_range {self.S_range} repeats a level")
         if self.N < 1:
             raise ConfigError("N must be >= 1")
         if self.solver not in ("omp", "bp", "both"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        if not 0.0 < self.failure_threshold < math.inf:
+            raise ConfigError(
+                f"failure_threshold must be finite and > 0, got {self.failure_threshold!r}"
+            )
         names = [arm.name for arm in self.optimizers]
         if not names:
             raise ConfigError("at least one optimizer arm required")
@@ -99,6 +108,26 @@ class ExperimentConfig:
             raise ConfigError("optimizer arm names must be unique")
         for arm in self.optimizers:
             lookup(arm.name, SWEEP_OPTIMIZERS)
+        object.__setattr__(self, "dictionary_source", self._resolved_source())
+        arms = tuple(
+            Arm(arm.name, {**arm.params, "seed": derive_seed(self.master_seed, "arm", arm.name)})
+            if "seed" in arm.params and arm.params["seed"] is None
+            else arm
+            for arm in self.optimizers
+        )
+        object.__setattr__(self, "optimizers", arms)
+
+    def _resolved_source(self) -> str:
+        kind, colon, arg = self.dictionary_source.partition(":")
+        if kind == "file" and arg:
+            return self.dictionary_source
+        if kind == "gaussian" and not colon:
+            return f"gaussian:{derive_seed(self.master_seed, 'dictionary')}"
+        if kind == "gaussian" and arg.strip().isdecimal():
+            return f"gaussian:{int(arg)}"
+        raise ConfigError(
+            f"dictionary_source {self.dictionary_source!r} not 'gaussian[:seed]' or 'file:path'"
+        )
 
     @property
     def solvers(self) -> tuple[str, ...]:
@@ -179,31 +208,16 @@ class Sweep:
                     )
 
 
-def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill in every unset seed deterministically from the master seed."""
-    src = cfg.dictionary_source
-    if isinstance(src, GaussianSource) and src.seed is None:
-        src = GaussianSource(seed=derive_seed(cfg.master_seed, "dictionary"))
-    arms = []
-    for arm in cfg.optimizers:
-        if "seed" in arm.params and arm.params["seed"] is None:
-            seed = derive_seed(cfg.master_seed, "arm", arm.name)
-            arm = Arm(arm.name, {**arm.params, "seed": seed})
-        arms.append(arm)
-    return replace(cfg, dictionary_source=src, optimizers=tuple(arms))
-
-
 def load_dictionary(cfg: ExperimentConfig) -> np.ndarray:
-    src = cfg.dictionary_source
-    if isinstance(src, FileSource):
-        data = read_matrix(src.path)
-        if data.shape != (cfg.n, cfg.k):
-            raise ConfigError(
-                f"dictionary file {src.path} has shape {data.shape}, expected ({cfg.n}, {cfg.k})"
-            )
-        return as_dictionary(data)
-    rng = np.random.default_rng(src.seed)
-    return as_dictionary(rng.standard_normal((cfg.n, cfg.k)))
+    kind, _, arg = cfg.dictionary_source.partition(":")
+    if kind == "gaussian":
+        return as_dictionary(np.random.default_rng(int(arg)).standard_normal((cfg.n, cfg.k)))
+    data = read_matrix(arg)
+    if data.shape != (cfg.n, cfg.k):
+        raise ConfigError(
+            f"dictionary file {arg} has shape {data.shape}, expected ({cfg.n}, {cfg.k})"
+        )
+    return as_dictionary(data)
 
 
 def arm_projection(arm: Arm, D, m: int) -> np.ndarray:
@@ -232,10 +246,9 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
 
     Identical master seeds give identical planted signals in every arm, and
     the whole sweep is deterministic.  A trial whose solve raises a
-    package error is recorded (status ``error:<Name>``, infinite relative
-    error) instead of aborting the sweep.
+    package error or a ``LinAlgError`` is recorded (status ``error:<Name>``,
+    infinite relative error) instead of aborting the sweep.
     """
-    cfg = resolve_config(cfg)
     D = load_dictionary(cfg)
 
     cells: list[Cell] = []
@@ -272,7 +285,7 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
                             else:
                                 rel_err = 0.0 if not np.any(theta_hat) else float("inf")
                             status = res.status.value
-                        except IncoprojError as exc:
+                        except (IncoprojError, np.linalg.LinAlgError) as exc:
                             rel_err, status = float("inf"), f"error:{type(exc).__name__}"
                     errors[j, i] = rel_err
                     statuses[j].append(status)
@@ -286,31 +299,13 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
 
 
 def config_echo(cfg: ExperimentConfig) -> str:
-    """Render the fully resolved configuration as flat key = value text."""
-    cfg = resolve_config(cfg)
-    buf = io.StringIO()
-
-    def put(key, value):
-        buf.write(f"{key} = {value}\n")
-
-    put("n", cfg.n)
-    put("k", cfg.k)
-    put("m", cfg.m)
-    put("S_range", ",".join(str(s) for s in cfg.S_range))
-    put("N", cfg.N)
-    src = cfg.dictionary_source
-    if isinstance(src, FileSource):
-        put("dictionary_source", f"file:{src.path}")
-    else:
-        put("dictionary_source", f"gaussian:{src.seed}")
-    put("optimizers", ",".join(arm.name for arm in cfg.optimizers))
-    put("solver", cfg.solver)
-    put("failure_threshold", repr(cfg.failure_threshold))
-    put("master_seed", cfg.master_seed)
+    """Render the configuration as flat key = value text: its fields, then its arms' keys."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    values["S_range"] = ",".join(map(str, cfg.S_range))
+    values["optimizers"] = ",".join(arm.name for arm in cfg.optimizers)
     for arm in cfg.optimizers:
-        for key, value in arm.params.items():
-            put(f"{arm.name}.{key}", value if isinstance(value, str) else repr(value))
-    return buf.getvalue()
+        values.update((f"{arm.name}.{key}", value) for key, value in arm.params.items())
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def emit_reports(sweep: Sweep, out_dir) -> list[str]:
@@ -342,30 +337,9 @@ def emit_reports(sweep: Sweep, out_dir) -> list[str]:
 # Flat key = value configuration files
 # ---------------------------------------------------------------------------
 
-_BASE_KEYS = {
-    "n",
-    "k",
-    "m",
-    "N",
-    "S_range",
-    "dictionary_source",
-    "optimizers",
-    "solver",
-    "failure_threshold",
-    "master_seed",
-}
 _ARM_KEYS = {
     f"{name}.{key.name}" for name in SWEEP_OPTIMIZERS for key in lookup(name).keys
 }
-
-
-def _parse(kv: dict, key: str, kind: type, default=None):
-    """``key`` as ``kind``; ``default`` when absent, which None makes required."""
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    return Key(key, kind).parse(kv[key], key)
 
 
 def _parse_s_range(text: str) -> tuple[int, ...]:
@@ -381,20 +355,6 @@ def _parse_s_range(text: str) -> tuple[int, ...]:
     if not values:
         raise ConfigError("S_range is empty")
     return values
-
-
-def _parse_source(text: str) -> GaussianSource | FileSource:
-    text = text.strip()
-    if text == "gaussian":
-        return GaussianSource()
-    if text.startswith("gaussian:"):
-        try:
-            return GaussianSource(seed=int(text.split(":", 1)[1]))
-        except ValueError:
-            raise ConfigError(f"bad gaussian seed in {text!r}") from None
-    if text.startswith("file:"):
-        return FileSource(path=text.split(":", 1)[1])
-    raise ConfigError(f"dictionary_source {text!r} not 'gaussian[:seed]' or 'file:path'")
 
 
 def _build_arm(name: str, kv: dict) -> Arm:
@@ -416,34 +376,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         kv[key] = value
 
-    unknown = set(kv) - _BASE_KEYS - _ARM_KEYS
+    base = fields(ExperimentConfig)
+    unknown = set(kv) - {f.name for f in base} - _ARM_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for f in base:
+        if f.default is MISSING and f.name not in kv:
+            raise ConfigError(f"missing required key {f.name!r}")
 
-    m = _parse(kv, "m", int)
-    master_seed = _parse(kv, "master_seed", int, 0)
-    if "optimizers" not in kv:
-        raise ConfigError("missing required key 'optimizers'")
-    arm_names = [tok.strip() for tok in kv["optimizers"].split(",") if tok.strip()]
-    arms = tuple(_build_arm(name, kv) for name in arm_names)
-
-    cfg = ExperimentConfig(
-        n=_parse(kv, "n", int),
-        k=_parse(kv, "k", int),
-        m=m,
-        S_range=_parse_s_range(kv.get("S_range", "") or _missing("S_range")),
-        N=_parse(kv, "N", int),
-        dictionary_source=_parse_source(kv.get("dictionary_source", "gaussian")),
-        optimizers=arms,
-        solver=kv.get("solver", "both").strip(),
-        failure_threshold=_parse(kv, "failure_threshold", float, 1e-4),
-        master_seed=master_seed,
-    )
-    return resolve_config(cfg)
-
-
-def _missing(key: str):
-    raise ConfigError(f"missing required key {key!r}")
+    # Scalar values stay text: ExperimentConfig parses them.
+    values = {f.name: kv[f.name] for f in base if f.name in kv}
+    values["S_range"] = _parse_s_range(values["S_range"])
+    arm_names = [tok.strip() for tok in values["optimizers"].split(",") if tok.strip()]
+    values["optimizers"] = tuple(_build_arm(name, kv) for name in arm_names)
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -119,7 +119,7 @@ def design(arm: Arm, D, m: int):
     if unset:
         raise ConfigError(
             f"{arm.name} arm has no {', '.join(unset)}; set it"
-            " (a sweep's resolve_config derives unset seeds from its master seed)"
+            " (an ExperimentConfig derives unset seeds from its master seed)"
         )
     return OPTIMIZERS[arm.name].design(D, m, **arm.params)
 

@@ -24,7 +24,7 @@ from incoproj import (
     sapiro_optimize,
     shrink_elad,
 )
-from incoproj.harness import ExperimentConfig, GaussianSource, run_sweep
+from incoproj.harness import ExperimentConfig, run_sweep
 from incoproj.optimizers import Arm
 from incoproj.cli import main
 
@@ -228,7 +228,7 @@ def desk_sweep():
         m=12,
         S_range=tuple(range(1, 7)),
         N=300,
-        dictionary_source=GaussianSource(seed=1),
+        dictionary_source="gaussian:1",
         optimizers=arms,
         solver="both",
         master_seed=1,

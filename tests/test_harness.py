@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,20 +10,17 @@ from incoproj.errors import ConfigError
 from incoproj.harness import (
     TRIALS_HEADER,
     ExperimentConfig,
-    FileSource,
-    GaussianSource,
     arm_projection,
     config_echo,
     derive_seed,
     emit_reports,
     load_dictionary,
     parse_config_text,
-    resolve_config,
     run_sweep,
     synthesize_signals,
 )
 from incoproj.pursuit import RecoveryStatus
-from incoproj import cli
+from incoproj import cli, harness
 from incoproj.optimizers import Arm
 
 
@@ -74,7 +73,7 @@ def tiny_config(**overrides):
         m=4,
         S_range=(1,),
         N=4,
-        dictionary_source=GaussianSource(seed=5),
+        dictionary_source="gaussian:5",
         optimizers=(Arm("none"), Arm("sapiro")),
         solver="both",
         master_seed=11,
@@ -109,22 +108,56 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # every trial would fail, whatever the solvers did
+            (dict(failure_threshold=float("nan")), "failure_threshold"),
+            (dict(failure_threshold=-1.0), "failure_threshold"),
+            (dict(failure_threshold=0.0), "failure_threshold"),
+            (dict(failure_threshold=float("inf")), "failure_threshold"),
+            # two identical cells and duplicate trials.csv rows
+            (dict(S_range=(1, 1)), "repeats"),
+            (dict(dictionary_source="csv:x"), "dictionary_source"),
+            (dict(dictionary_source="gaussian:x"), "dictionary_source"),
+            (dict(dictionary_source="gaussian:-1"), "dictionary_source"),
+            (dict(dictionary_source="file:"), "dictionary_source"),
+        ],
+    )
+    def test_rejects_meaningless_sweeps(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_config(**overrides)
+
+    def test_scalar_fields_take_their_type(self):
+        cfg = tiny_config(n="6", N=4.0, failure_threshold="1e-3", master_seed="11")
+        assert cfg == tiny_config(failure_threshold=1e-3)
+        assert type(cfg.N) is int and type(cfg.failure_threshold) is float
+        with pytest.raises(ConfigError, match="'N'"):
+            tiny_config(N=2.5)
+
+    def test_source_takes_its_canonical_form(self):
+        assert tiny_config(dictionary_source="gaussian: 05").dictionary_source == "gaussian:5"
+        assert tiny_config(dictionary_source="file:a:b.csv").dictionary_source == "file:a:b.csv"
+
 
 class TestResolveConfig:
+    """Construction derives every unset seed from the master seed."""
+
     def test_fills_unset_seeds_from_master(self):
-        cfg = resolve_config(tiny_config(dictionary_source=GaussianSource()))
-        assert cfg.dictionary_source.seed == derive_seed(11, "dictionary")
+        cfg = tiny_config(dictionary_source="gaussian")
+        assert cfg.dictionary_source == f"gaussian:{derive_seed(11, 'dictionary')}"
         assert cfg.optimizers[0].params["seed"] == derive_seed(11, "arm", "none")
         assert cfg.optimizers[1].params["seed"] == derive_seed(11, "arm", "sapiro")
 
     def test_existing_seeds_kept(self):
-        cfg = resolve_config(tiny_config(optimizers=(Arm("none", {"seed": 123}),)))
+        cfg = tiny_config(optimizers=(Arm("none", {"seed": 123}),))
         assert cfg.optimizers[0].params["seed"] == 123
-        assert cfg.dictionary_source.seed == 5
+        assert cfg.dictionary_source == "gaussian:5"
 
     def test_idempotent(self):
-        once = resolve_config(tiny_config())
-        assert resolve_config(once) == once
+        once = tiny_config(dictionary_source="gaussian")
+        assert replace(once) == once
+        assert replace(once, N=9) == replace(tiny_config(dictionary_source="gaussian"), N=9)
 
 
 class TestArmProjection:
@@ -143,7 +176,7 @@ class TestFileSource:
     def test_load_checks_shape(self, tmp_path):
         path = tmp_path / "dict.csv"
         write_matrix(path, np.ones((3, 5)))
-        cfg = tiny_config(dictionary_source=FileSource(path=str(path)))
+        cfg = tiny_config(dictionary_source=f"file:{path}")
         with pytest.raises(ConfigError):
             load_dictionary(cfg)
 
@@ -152,7 +185,7 @@ class TestFileSource:
         D = rng.standard_normal((6, 12))
         path = tmp_path / "dict.csv"
         write_matrix(path, D)
-        cfg = tiny_config(dictionary_source=FileSource(path=str(path)))
+        cfg = tiny_config(dictionary_source=f"file:{path}")
         assert_allclose(load_dictionary(cfg), D, rtol=1e-12)
 
 
@@ -222,6 +255,26 @@ class TestRunSweep:
         sweep = run_sweep(tiny_config())
         assert {r["status"] for r in trial_records(sweep)} <= {s.value for s in RecoveryStatus}
 
+    def test_linalg_error_recorded_as_failed_trial(self, monkeypatch):
+        # lstsq raises LinAlgError when its SVD does not converge
+        calls = []
+
+        def flaky_omp(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return omp(*args)
+
+        omp = harness.omp
+        monkeypatch.setattr(harness, "omp", flaky_omp)
+        sweep = run_sweep(tiny_config(solver="omp"))
+        assert len(calls) == 2 * 4  # arms x trials: the sweep ran on
+        cell = sweep.cell("none", "omp", 1)
+        assert cell.status[1] == "error:LinAlgError"
+        assert cell.relative_error[1] == np.inf and not cell.success[1]
+        statuses = [r["status"] for r in trial_records(sweep)]
+        assert statuses.count("error:LinAlgError") == 1
+
     def test_cells_in_first_seen_order(self):
         sweep = run_sweep(tiny_config())
         assert [c.optimizer_name for c in sweep.cells[:2]] == ["none", "none"]
@@ -271,7 +324,7 @@ class TestEmitReports:
         emit_reports(run_sweep(make_config()), tmp_path)
         raw = (tmp_path / "config.echo").read_bytes()
         reparsed = parse_config_text(raw.decode())
-        assert reparsed == resolve_config(make_config())
+        assert reparsed == make_config()
         assert config_echo(reparsed).encode() == raw
 
     def test_config_echo_reparses_to_same_experiment(self, tmp_path):
@@ -312,7 +365,7 @@ class TestConfigParsing:
         cfg = parse_config_text(CONFIG_TEXT)
         assert (cfg.n, cfg.k, cfg.m, cfg.N) == (6, 12, 4, 3)
         assert cfg.S_range == (1, 2)
-        assert cfg.dictionary_source == GaussianSource(seed=5)
+        assert cfg.dictionary_source == "gaussian:5"
         assert cfg.solver == "omp"
         assert cfg.master_seed == 7
         none_arm, elad_arm, alt_arm = cfg.optimizers
@@ -364,6 +417,28 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="t must be"):
             parse_config_text(CONFIG_TEXT.replace("altproj.t = 0.45", "altproj.t = 1.45"))
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("solver = omp", "solver = omp\nfailure_threshold = nan"),
+            ("solver = omp", "solver = omp\nfailure_threshold = -1"),
+            ("S_range = 1-2", "S_range = 1,1"),
+        ],
+        ids=["nan_threshold", "negative_threshold", "repeated_level"],
+    )
+    def test_meaningless_sweeps_rejected_at_parse(self, old, new):
+        with pytest.raises(ConfigError):
+            parse_config_text(CONFIG_TEXT.replace(old, new))
+
+    def test_defaults_fill_absent_keys(self):
+        text = "\n".join(
+            line for line in CONFIG_TEXT.splitlines()
+            if not line.startswith(("dictionary_source", "solver", "master_seed"))
+        )
+        cfg = parse_config_text(text)
+        assert (cfg.solver, cfg.failure_threshold, cfg.master_seed) == ("both", 1e-4, 0)
+        assert cfg.dictionary_source == f"gaussian:{derive_seed(0, 'dictionary')}"
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError):
             parse_config_text("n = 4\nk = 8\n")
@@ -373,7 +448,7 @@ class TestConfigParsing:
             "dictionary_source = gaussian:5", "dictionary_source = file:some/dict.csv"
         )
         cfg = parse_config_text(text)
-        assert cfg.dictionary_source == FileSource(path="some/dict.csv")
+        assert cfg.dictionary_source == "file:some/dict.csv"
 
 
 class TestCLI:
@@ -466,6 +541,14 @@ class TestCLI:
         assert "m = 5\n" in echo and "optimizers = none,elad,altproj\n" in echo
         assert len(read_trial_rows(out / "trials.csv")) == 3 * 2 * 2  # arms x S x N
 
+    def test_bench_rejects_nan_threshold(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(CONFIG_TEXT + "failure_threshold = nan\n")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: failure_threshold must be finite and > 0, got nan\n"
+        assert not out.exists()
+
     def test_bench_missing_config(self, tmp_path, capsys):
         rc = main(["bench", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -494,7 +577,7 @@ class TestCLI:
         assert "(30, 60)" in err
         assert not out.exists()
 
-    def test_ksvd_command(self, tmp_path):
+    def test_ksvd_command(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         signals = tmp_path / "X.csv"
         write_matrix(signals, rng.standard_normal((6, 40)))
@@ -517,8 +600,11 @@ class TestCLI:
         assert rc == 0
         for name in ("dictionary.csv", "coefficients.csv", "trace.csv"):
             assert (out / name).exists()
+        label, value = capsys.readouterr().out.rstrip("\n").split(" = ")
+        assert label == "ksvd final objective"
+        assert float(value) > 0.0  # a plain float, not a NumPy repr
 
-    def test_coupled_command(self, tmp_path):
+    def test_coupled_command(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((6, 40))
         P = rng.standard_normal((3, 6))
@@ -553,6 +639,9 @@ class TestCLI:
         assert rc == 0
         for name in ("projection.csv", "dictionary.csv", "coefficients.csv", "trace.csv"):
             assert (out / name).exists()
+        label, values = capsys.readouterr().out.rstrip("\n").split(" = ")
+        assert label == "coupled final terms"
+        assert all(float(v) >= 0.0 for v in values.split(", "))  # plain floats
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
