@@ -14,9 +14,6 @@ from .altproj import (
     recover_projection,
 )
 from .coherence import (
-    CoherenceReport,
-    coherence_report,
-    gram_t_average,
     mutual_coherence,
     offdiag_histogram,
     offdiag_magnitudes,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arm",
     "Cell",
-    "CoherenceReport",
     "ConfigError",
     "DegenerateDiagonal",
     "DegenerateSpectrum",
@@ -106,7 +102,6 @@ __all__ = [
     "atom_update_sweep",
     "purge_duplicate_atoms",
     "basis_pursuit",
-    "coherence_report",
     "coupled_ksvd",
     "derive_seed",
     "eigh_descending",
@@ -114,7 +109,6 @@ __all__ = [
     "emit_reports",
     "exhaustive_sparsest",
     "gram",
-    "gram_t_average",
     "ksvd",
     "lsq_projection",
     "mutual_coherence",

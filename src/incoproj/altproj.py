@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDiagonal, EmptyAverage, RankExceeded
-from .coherence import gram_t_average, offdiag_magnitudes
+from .errors import DegenerateDiagonal, RankExceeded
+from .coherence import trace_coherence
 from .linalg import as_matrix, lsq_projection, sqrt_factor, symmetric_rank_truncate
 from .matrixio import Trace
 
@@ -105,12 +105,7 @@ def altproj_optimize(
     for q in range(iterations):
         G = project_convex(G, t)
         G = project_rank(G, m)
-        Gn = normalize_gram(G)
-        max_off[q] = float(offdiag_magnitudes(Gn).max())
-        try:
-            mu_t[q] = gram_t_average(Gn, t)
-        except EmptyAverage:
-            mu_t[q] = float("nan")
+        max_off[q], mu_t[q] = trace_coherence(normalize_gram(G), t)
 
     P = recover_projection(normalize_gram(G), Dd, m)
     return P, Trace({"max_offdiag": max_off, "mu_t": mu_t})

@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .coherence import coherence_report, offdiag_histogram
+from .coherence import mutual_coherence, offdiag_histogram, t_average_coherence
 from .dictlearn import coupled_ksvd, ksvd
-from .errors import ConfigError, IncoprojError
+from .errors import ConfigError, EmptyAverage, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, run_sweep
 from .linalg import as_dictionary, gram, set_blas_threads
 from .matrixio import read_matrix, write_histogram, write_matrix
@@ -50,10 +50,14 @@ def _cmd_design(args) -> int:
     trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
 
     write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
-    report = coherence_report(P @ D, t=args.t, bins=args.bins)
-    write_histogram(os.path.join(args.out_dir, "gram_hist.csv"), report.histogram)
-    mu_t = "n/a" if report.mu_t is None else repr(report.mu_t)
-    print(f"method={args.method} mu={report.mu!r} mu_t[{args.t!r}]={mu_t}")
+    G = gram(P @ D)
+    mu, _ = mutual_coherence(G)
+    try:
+        mu_t = repr(t_average_coherence(G, args.t))
+    except EmptyAverage:
+        mu_t = "n/a"
+    write_histogram(os.path.join(args.out_dir, "gram_hist.csv"), offdiag_histogram(G, args.bins))
+    print(f"method={args.method} mu={mu!r} mu_t[{args.t!r}]={mu_t}")
     return 0
 
 

@@ -1,19 +1,20 @@
 """Coherence metrics: mutual coherence, thresholded averages, histograms.
 
 These are the objectives and diagnostics the projection optimizers drive
-down.  All statistics are computed over the strict upper triangle of the
-Gram matrix of the column-normalized input; the symmetric lower half is
-redundant.
+down.  Every statistic takes a Gram matrix, the output of
+:func:`~incoproj.linalg.gram` (so ``mutual_coherence(gram(P @ D))`` is the
+coherence of the effective dictionary), and is computed over its strict
+upper triangle; the symmetric lower half is redundant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import EmptyAverage, TooFewColumns
-from .linalg import as_matrix, gram
+from .linalg import as_matrix
 
 
 def offdiag_magnitudes(G: np.ndarray) -> np.ndarray:
@@ -23,22 +24,21 @@ def offdiag_magnitudes(G: np.ndarray) -> np.ndarray:
     return np.abs(G[iu])
 
 
-def _dictionary_gram(D, what: str) -> np.ndarray:
-    M = as_matrix(D, "dictionary")
-    if M.shape[1] < 2:
+def _checked_gram(G, what: str) -> np.ndarray:
+    G = as_matrix(G, "gram")
+    if G.shape[1] < 2:
         raise TooFewColumns(f"{what} needs at least two columns")
-    return gram(M)
+    return G
 
 
-def _max_offdiag(G: np.ndarray) -> tuple[float, tuple[int, int]]:
-    iu = np.triu_indices(G.shape[0], 1)
-    mags = np.abs(G[iu])
-    pos = int(np.argmax(mags))  # argmax returns the first max: lexicographic winner
-    return min(float(mags[pos]), 1.0), (int(iu[0][pos]), int(iu[1][pos]))
+def _mean_above(mags: np.ndarray, t: float) -> float:
+    """Mean of the magnitudes strictly above ``t``; NaN when there are none."""
+    above = mags[mags > t]
+    return float(above.mean()) if above.size else math.nan
 
 
-def mutual_coherence(D) -> tuple[float, tuple[int, int]]:
-    """Largest absolute normalized inner product between distinct columns.
+def mutual_coherence(G) -> tuple[float, tuple[int, int]]:
+    """Largest off-diagonal magnitude of the Gram ``G`` (clipped to 1) and where it lies.
 
     Returns ``(mu, (i, j))`` with ``i < j``; ties broken by the
     lexicographically smallest index pair.
@@ -46,15 +46,17 @@ def mutual_coherence(D) -> tuple[float, tuple[int, int]]:
     Raises
     ------
     TooFewColumns
-        If the input has fewer than two columns.
-    ZeroColumn
-        Propagated from normalization.
+        If ``G`` is smaller than 2 x 2.
     """
-    return _max_offdiag(_dictionary_gram(D, "mutual coherence"))
+    G = _checked_gram(G, "mutual coherence")
+    iu = np.triu_indices(G.shape[0], 1)
+    mags = np.abs(G[iu])
+    pos = int(np.argmax(mags))  # argmax returns the first max: lexicographic winner
+    return min(float(mags[pos]), 1.0), (int(iu[0][pos]), int(iu[1][pos]))
 
 
-def t_average_coherence(D, t: float) -> float:
-    """Mean of off-diagonal Gram magnitudes strictly above ``t``.
+def t_average_coherence(G, t: float) -> float:
+    """Mean of the off-diagonal magnitudes of the Gram ``G`` strictly above ``t``.
 
     Raises
     ------
@@ -65,16 +67,20 @@ def t_average_coherence(D, t: float) -> float:
     """
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    return gram_t_average(_dictionary_gram(D, "t-average coherence"), t)
-
-
-def gram_t_average(G: np.ndarray, t: float) -> float:
-    """Like :func:`t_average_coherence` but on an already-built Gram matrix."""
-    mags = offdiag_magnitudes(G)
-    above = mags[mags > t]
-    if above.size == 0:
+    mu_t = _mean_above(offdiag_magnitudes(_checked_gram(G, "t-average coherence")), t)
+    if math.isnan(mu_t):
         raise EmptyAverage(f"no off-diagonal magnitude exceeds t={t}")
-    return float(above.mean())
+    return mu_t
+
+
+def trace_coherence(G: np.ndarray, t: float) -> tuple[float, float]:
+    """One optimizer trace row from one pass over the Gram ``G``.
+
+    Returns the largest off-diagonal magnitude, unclipped, and the
+    :func:`t_average_coherence` at ``t``, NaN where no magnitude exceeds it.
+    """
+    mags = offdiag_magnitudes(G)
+    return float(mags.max()), _mean_above(mags, t)
 
 
 def relative_threshold(G, percent: float) -> float:
@@ -87,9 +93,7 @@ def relative_threshold(G, percent: float) -> float:
     """
     if not 0.0 < percent < 100.0:
         raise ValueError("percent must be in (0, 100)")
-    G = as_matrix(G, "gram")
-    if G.shape[1] < 2:
-        raise TooFewColumns("relative threshold needs at least two columns")
+    G = _checked_gram(G, "relative threshold")
     mags = np.sort(offdiag_magnitudes(G))[::-1]
     c = int(np.ceil(percent / 100.0 * mags.size))
     return float(mags[c]) if c < mags.size else 0.0
@@ -109,28 +113,3 @@ def offdiag_histogram(G, bins: int) -> list[tuple[float, int]]:
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(mags, bins=edges)
     return [(float(lo), int(c)) for lo, c in zip(edges[:-1], counts)]
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Bundled coherence diagnostics for one dictionary."""
-
-    mu: float
-    argmax_pair: tuple[int, int]
-    t: float
-    mu_t: float | None
-    histogram: list[tuple[float, int]]
-
-
-def coherence_report(D, t: float, bins: int = 50) -> CoherenceReport:
-    """Mutual coherence, t-average (None when empty), and magnitude histogram."""
-    G = _dictionary_gram(D, "mutual coherence")
-    mu, pair = _max_offdiag(G)
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
-    try:
-        mu_t = gram_t_average(G, t)
-    except EmptyAverage:
-        mu_t = None
-    hist = offdiag_histogram(G, bins)
-    return CoherenceReport(mu=mu, argmax_pair=pair, t=t, mu_t=mu_t, histogram=hist)

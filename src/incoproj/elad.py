@@ -16,7 +16,7 @@ from .linalg import (
     sqrt_factor,
     symmetric_rank_truncate,
 )
-from .coherence import offdiag_magnitudes, relative_threshold
+from .coherence import offdiag_magnitudes, relative_threshold, trace_coherence
 from .matrixio import Trace
 
 
@@ -110,10 +110,9 @@ def elad_optimize(
 
         # The updated Gram is also the next iteration's starting Gram.
         G = _effective_gram(P, Dd, q)
-        mags = offdiag_magnitudes(G)
-        above = mags[mags > t]
-        mu_t_hist.append(float(above.mean()) if above.size else float("nan"))
-        mu_hist.append(min(float(mags.max()), 1.0))
+        mu, mu_t = trace_coherence(G, t)
+        mu_t_hist.append(mu_t)
+        mu_hist.append(min(mu, 1.0))
         thr_hist.append(float(t))
 
     return P, Trace({"mu_t": mu_t_hist, "mu": mu_hist, "threshold": thr_hist})

@@ -118,6 +118,11 @@ class ExperimentConfig:
         object.__setattr__(self, "optimizers", arms)
 
     def _resolved_source(self) -> str:
+        if "#" in self.dictionary_source:
+            raise ConfigError(
+                f"dictionary_source {self.dictionary_source!r} contains '#', "
+                "which starts a config comment"
+            )
         kind, colon, arg = self.dictionary_source.partition(":")
         if kind == "file" and arg:
             return self.dictionary_source
@@ -176,12 +181,6 @@ class Sweep:
     cells: tuple[Cell, ...]
     arm_histograms: dict[str, list[tuple[float, int]]]
     config_echo: str
-
-    def cell(self, optimizer_name: str, solver_name: str, S: int) -> Cell:
-        for c in self.cells:
-            if (c.optimizer_name, c.solver_name, c.S) == (optimizer_name, solver_name, S):
-                return c
-        raise KeyError((optimizer_name, solver_name, S))
 
     def failure_curve(self, optimizer_name: str, solver_name: str) -> dict[int, float]:
         return {

@@ -24,12 +24,10 @@ import scipy.linalg
 class LPResult:
     x: np.ndarray
     lam: np.ndarray  # dual variables of the equality constraints
-    s: np.ndarray  # dual slacks
     iterations: int
     converged: bool
     primal_infeasibility: float
     dual_infeasibility: float
-    duality_gap: float
 
 
 def _chol_solve_factory(M: np.ndarray):
@@ -103,13 +101,13 @@ def solve_standard_lp(c, A, b, tol: float = 1e-10, max_iter: int = 100) -> LPRes
         dinf = float(np.linalg.norm(rc)) / cnorm
         gap = abs(cx - float(b @ lam)) / (1.0 + abs(cx))
         ok = pinf <= tol and dinf <= tol and min(gap, mu / (1.0 + abs(cx))) <= tol
-        return rb, rc, mu, pinf, dinf, gap, ok
+        return rb, rc, mu, pinf, dinf, ok
 
-    pinf = dinf = gap = np.inf
+    pinf = dinf = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        rb, rc, mu, pinf, dinf, gap, converged = residuals(x, lam, s)
+        rb, rc, mu, pinf, dinf, converged = residuals(x, lam, s)
         if converged:
             break
 
@@ -164,15 +162,13 @@ def solve_standard_lp(c, A, b, tol: float = 1e-10, max_iter: int = 100) -> LPRes
         x, lam, s = x_new, lam_new, s_new
     else:
         # Ran out of iterations; the final step may still have converged.
-        _, _, _, pinf, dinf, gap, converged = residuals(x, lam, s)
+        _, _, _, pinf, dinf, converged = residuals(x, lam, s)
 
     return LPResult(
         x=x,
         lam=lam,
-        s=s,
         iterations=iterations,
         converged=converged,
         primal_infeasibility=pinf,
         dual_infeasibility=dinf,
-        duality_gap=gap,
     )

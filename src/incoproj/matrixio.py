@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,9 +30,15 @@ def write_matrix(path: str | os.PathLike, M) -> None:
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # A file without rows is reported below, not as loadtxt's warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            M = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed matrix file ({exc})") from exc
+    if M.size == 0:
+        raise ValueError(f"{path}: no matrix rows")
+    return M
 
 
 def format_cell(value) -> str:
@@ -48,16 +55,6 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Seq
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_cell(v) for v in row])
-
-
-def read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        return header, [row for row in reader]
 
 
 def write_histogram(path: str | os.PathLike, hist: Sequence[tuple[float, int]]) -> None:

@@ -35,7 +35,6 @@ class RecoveryStatus(enum.Enum):
 @dataclass(frozen=True)
 class RecoveryResult:
     theta_hat: np.ndarray  # length k
-    residual_norm: float
     iterations_or_pivots: int
     status: RecoveryStatus
     unique: bool | None = None
@@ -86,7 +85,7 @@ def omp(Dhat, y, S: int) -> RecoveryResult:
         theta[support] = coef
     residual = float(np.linalg.norm(y - Dh @ theta))
     status = RecoveryStatus.CONVERGED if residual <= tol else RecoveryStatus.MAX_ITER
-    return RecoveryResult(theta, residual, len(support), status)
+    return RecoveryResult(theta, len(support), status)
 
 
 def basis_pursuit(Dhat, y) -> RecoveryResult:
@@ -104,11 +103,11 @@ def basis_pursuit(Dhat, y) -> RecoveryResult:
     y = _measurement(y, m)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
-        return RecoveryResult(np.zeros(k), 0.0, 0, RecoveryStatus.CONVERGED)
+        return RecoveryResult(np.zeros(k), 0, RecoveryStatus.CONVERGED)
 
     z, *_ = np.linalg.lstsq(Dh, y, rcond=None)
     if float(np.linalg.norm(Dh @ z - y)) > LP_TOL * max(1.0, ynorm):
-        return RecoveryResult(np.zeros(k), ynorm, 0, RecoveryStatus.INFEASIBLE)
+        return RecoveryResult(np.zeros(k), 0, RecoveryStatus.INFEASIBLE)
 
     A = np.hstack([Dh, -Dh])
     c = np.ones(2 * k)
@@ -130,9 +129,8 @@ def basis_pursuit(Dhat, y) -> RecoveryResult:
             if float(np.linalg.norm(Dh @ cleaned - y)) <= LP_TOL * max(1.0, ynorm):
                 theta = cleaned
 
-    residual = float(np.linalg.norm(y - Dh @ theta))
     status = RecoveryStatus.CONVERGED if certified else RecoveryStatus.MAX_ITER
-    return RecoveryResult(theta, residual, res.iterations, status)
+    return RecoveryResult(theta, res.iterations, status)
 
 
 def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
@@ -161,9 +159,7 @@ def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
         raise TooLarge(f"{total} supports to enumerate exceeds {ENUMERATION_GUARD}")
 
     if float(np.linalg.norm(y)) <= tol:
-        return RecoveryResult(
-            np.zeros(k), float(np.linalg.norm(y)), 1, RecoveryStatus.CONVERGED, unique=True
-        )
+        return RecoveryResult(np.zeros(k), 1, RecoveryStatus.CONVERGED, unique=True)
 
     tested = 0
     for s in range(1, S_max + 1):
@@ -179,8 +175,5 @@ def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
         if hits:
             first = hits[0]
             unique = all(float(np.max(np.abs(h - first))) <= tol for h in hits[1:])
-            residual = float(np.linalg.norm(y - Dh @ first))
-            return RecoveryResult(
-                first, residual, tested, RecoveryStatus.CONVERGED, unique=unique
-            )
+            return RecoveryResult(first, tested, RecoveryStatus.CONVERGED, unique=unique)
     raise NotFound(f"no support of size <= {S_max} fits within tol={tol}")

@@ -16,6 +16,7 @@ from incoproj import (
     basis_pursuit,
     elad_optimize,
     exhaustive_sparsest,
+    gram,
     ksvd,
     mutual_coherence,
     normalize_columns,
@@ -50,7 +51,7 @@ def test_01_sparse_uniqueness_and_recovery():
         else:
             # constructed low-coherence frame: admits S = 2 under the bound
             Dhat = incoherent_frame(10, 20, 20_000 + s)
-        mu, _ = mutual_coherence(Dhat)
+        mu, _ = mutual_coherence(gram(Dhat))
         bound = 0.5 * (1.0 + 1.0 / mu)
         S = 1
         while S + 1 < bound:
@@ -195,7 +196,7 @@ def test_05_shrinkage_improvement():
     for s in range(20):
         D = gaussian_dictionary(8, 16, 500 + s)
         P, _ = elad_optimize(D, 4, mode="fixed", t=0.1, gamma=0.6, iterations=50, seed=s)
-        if mutual_coherence(P @ D)[0] > 0.1:
+        if mutual_coherence(gram(P @ D))[0] > 0.1:
             overshoot_seeds += 1
 
     ok = verdict(

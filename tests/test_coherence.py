@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
-    coherence_report,
     gram,
     mutual_coherence,
     normalize_columns,
@@ -12,6 +11,7 @@ from incoproj import (
     relative_threshold,
     t_average_coherence,
 )
+from incoproj.coherence import trace_coherence
 from incoproj.errors import EmptyAverage, TooFewColumns
 
 
@@ -23,30 +23,30 @@ def unit_pair(angle):
 class TestMutualCoherence:
     def test_known_pair(self):
         D = unit_pair(np.pi / 3)  # inner product 0.5
-        mu, pair = mutual_coherence(D)
+        mu, pair = mutual_coherence(gram(D))
         assert_allclose(mu, 0.5, atol=1e-15)
         assert pair == (0, 1)
 
     def test_orthonormal_is_zero(self):
-        mu, _ = mutual_coherence(np.eye(5))
+        mu, _ = mutual_coherence(gram(np.eye(5)))
         assert mu == 0.0
 
     def test_bounded_by_one(self):
         for seed in range(10):
             D = normalize_columns(np.random.default_rng(seed).standard_normal((6, 14)))
-            mu, _ = mutual_coherence(D)
+            mu, _ = mutual_coherence(gram(D))
             assert 0.0 <= mu <= 1.0
 
     def test_argmax_pair_is_lexicographic_on_ties(self):
         # three copies of the same direction: pairs (0,1),(0,2),(1,2) all tie
         v = np.array([[1.0], [0.0]])
         D = np.hstack([v, v, v])
-        _, pair = mutual_coherence(D)
+        _, pair = mutual_coherence(gram(D))
         assert pair == (0, 1)
 
     def test_single_column_rejected(self):
         with pytest.raises(TooFewColumns):
-            mutual_coherence(np.ones((3, 1)))
+            mutual_coherence(gram(np.ones((3, 1))))
 
 
 class TestTAverage:
@@ -64,24 +64,26 @@ class TestTAverage:
         mags = offdiag_magnitudes(G)
         t = 0.15
         expected = mags[mags > t].mean()
-        assert_allclose(t_average_coherence(D, t), expected, atol=1e-14)
+        assert_allclose(t_average_coherence(G, t), expected, atol=1e-14)
 
     def test_empty_average_raises(self):
         with pytest.raises(EmptyAverage):
-            t_average_coherence(np.eye(4), 0.5)
+            t_average_coherence(gram(np.eye(4)), 0.5)
 
     def test_t_zero_averages_everything_nonzero(self):
         D = normalize_columns(np.random.default_rng(3).standard_normal((5, 9)))
-        mags = offdiag_magnitudes(gram(D))
-        assert_allclose(t_average_coherence(D, 0.0), mags[mags > 0].mean(), atol=1e-14)
+        G = gram(D)
+        mags = offdiag_magnitudes(G)
+        assert_allclose(t_average_coherence(G, 0.0), mags[mags > 0].mean(), atol=1e-14)
 
     def test_mu_t_at_most_mu(self):
         for seed in range(20):
             D = normalize_columns(np.random.default_rng(seed).standard_normal((7, 15)))
-            mu, _ = mutual_coherence(D)
+            G = gram(D)
+            mu, _ = mutual_coherence(G)
             for t in (0.0, 0.1, 0.3):
                 try:
-                    mt = t_average_coherence(D, t)
+                    mt = t_average_coherence(G, t)
                 except EmptyAverage:
                     continue
                 assert mt <= mu + 1e-14
@@ -90,10 +92,11 @@ class TestTAverage:
         """mu_t is non-decreasing in t wherever it is defined."""
         for seed in range(10):
             D = normalize_columns(np.random.default_rng(100 + seed).standard_normal((6, 12)))
+            G = gram(D)
             vals = []
             for t in np.linspace(0.0, 0.6, 13):
                 try:
-                    vals.append(t_average_coherence(D, t))
+                    vals.append(t_average_coherence(G, t))
                 except EmptyAverage:
                     break
             assert np.all(np.diff(vals) >= -1e-14)
@@ -168,14 +171,24 @@ class TestHistogramAndReport:
         assert offdiag_magnitudes(gram(D)).size == 7 * 6 // 2
 
     def test_report_fields(self):
+        # what `incoproj design` reports, all read off one Gram
         D = normalize_columns(np.random.default_rng(2).standard_normal((5, 8)))
-        rep = coherence_report(D, t=0.2, bins=10)
-        assert 0.0 <= rep.mu <= 1.0
-        assert rep.t == 0.2
-        assert len(rep.histogram) == 10
-        i, j = rep.argmax_pair
+        G = gram(D)
+        mu, (i, j) = mutual_coherence(G)
+        assert 0.0 <= mu <= 1.0
+        assert 0.2 < t_average_coherence(G, 0.2) <= mu
+        assert len(offdiag_histogram(G, bins=10)) == 10
         assert 0 <= i < j < 8
 
     def test_report_absent_mu_t(self):
-        rep = coherence_report(np.eye(6), t=0.5, bins=4)
-        assert rep.mu_t is None
+        G = gram(np.eye(6))
+        with pytest.raises(EmptyAverage):  # printed as mu_t[0.5]=n/a
+            t_average_coherence(G, 0.5)
+        assert offdiag_histogram(G, bins=4)[0] == (0.0, 6 * 5 // 2)
+
+    def test_trace_row_matches_the_statistics(self):
+        G = gram(np.random.default_rng(4).standard_normal((5, 9)))
+        mu, mu_t = trace_coherence(G, 0.3)
+        assert mu == mutual_coherence(G)[0]
+        assert mu_t == t_average_coherence(G, 0.3)
+        assert np.isnan(trace_coherence(G, mu)[1])

@@ -16,8 +16,9 @@ from incoproj.harness import SWEEP_OPTIMIZERS, ExperimentConfig, config_echo, pa
 from incoproj.optimizers import Arm, lookup
 
 SEEDS = st.integers(0, 2**64 - 1)
-# Config text holds a path up to its line's end: no '#', no line break,
-# and no surrounding whitespace, which the parser strips.
+# Config text holds a path up to its line's end: no line break, and no
+# surrounding whitespace, which the parser strips.  No '#' either: a
+# source that holds one is rejected, since it would start a comment.
 PATHS = st.text("abcXYZ019/._-: ", min_size=1, max_size=20).filter(lambda p: p == p.strip())
 
 

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj.cli import main
-from incoproj.matrixio import read_csv, write_matrix
+from incoproj.coherence import mutual_coherence, t_average_coherence
+from incoproj.linalg import gram
+from incoproj.matrixio import read_matrix, write_matrix
 from incoproj.errors import ConfigError
 from incoproj.harness import (
     TRIALS_HEADER,
@@ -122,6 +125,8 @@ class TestExperimentConfig:
             (dict(dictionary_source="gaussian:x"), "dictionary_source"),
             (dict(dictionary_source="gaussian:-1"), "dictionary_source"),
             (dict(dictionary_source="file:"), "dictionary_source"),
+            # config text drops a line's '#' and all after it: the echo would not reparse
+            (dict(dictionary_source="file:runs#2/D.csv"), "'#', which starts a config comment"),
         ],
     )
     def test_rejects_meaningless_sweeps(self, overrides, message):
@@ -195,7 +200,8 @@ def trial_records(sweep) -> list[dict]:
 
 
 def read_trial_rows(path) -> list[list[str]]:
-    header, rows = read_csv(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == TRIALS_HEADER
     return rows
 
@@ -233,11 +239,6 @@ class TestRunSweep:
                 cell.mean_relative_error, np.mean([r["relative_error"] for r in grp])
             )
 
-    def test_cell_lookup_raises_on_missing(self):
-        sweep = run_sweep(tiny_config())
-        with pytest.raises(KeyError):
-            sweep.cell("nonesuch", "omp", 1)
-
     def test_easy_instance_recovers(self):
         # S=1 at m=4 with any sane projection: both solvers should succeed
         # on nearly every trial
@@ -269,7 +270,7 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "omp", flaky_omp)
         sweep = run_sweep(tiny_config(solver="omp"))
         assert len(calls) == 2 * 4  # arms x trials: the sweep ran on
-        cell = sweep.cell("none", "omp", 1)
+        (cell,) = [c for c in sweep.cells if (c.optimizer_name, c.solver_name) == ("none", "omp")]
         assert cell.status[1] == "error:LinAlgError"
         assert cell.relative_error[1] == np.inf and not cell.success[1]
         statuses = [r["status"] for r in trial_records(sweep)]
@@ -452,7 +453,7 @@ class TestConfigParsing:
 
 
 class TestCLI:
-    def run_design(self, out_dir, method="elad"):
+    def run_design(self, out_dir, method="elad", t="0.35"):
         return main(
             [
                 "design",
@@ -469,7 +470,7 @@ class TestCLI:
                 "--mode",
                 "fixed",
                 "--t",
-                "0.35",
+                t,
                 "--iterations",
                 "4",
                 "--out-dir",
@@ -483,6 +484,16 @@ class TestCLI:
             assert (tmp_path / "out" / name).exists()
         line = capsys.readouterr().out.strip()
         assert line.startswith("method=elad mu=")
+
+    @pytest.mark.parametrize("method, t", [("elad", "0.35"), ("altproj", "0.35"), ("sapiro", "0.999")])
+    def test_design_line_reports_the_effective_gram(self, tmp_path, capsys, method, t):
+        assert self.run_design(tmp_path, method=method, t=t) == 0
+        D = np.random.default_rng(3).standard_normal((8, 12))  # --n 8 --k 12 --dict-seed 3
+        G = gram(read_matrix(tmp_path / "projection.csv") @ D)
+        mu, _ = mutual_coherence(G)
+        mu_t = "n/a" if t == "0.999" else repr(t_average_coherence(G, float(t)))
+        assert capsys.readouterr().out == f"method={method} mu={mu!r} mu_t[{t}]={mu_t}\n"
+        assert mu < 0.999  # so sapiro's line takes the n/a branch
 
     def test_design_deterministic(self, tmp_path):
         self.run_design(tmp_path / "a")
@@ -576,6 +587,19 @@ class TestCLI:
         assert err.startswith("error: projection shape (8, 20)")
         assert "(30, 60)" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_matrix_file_rejected(self, tmp_path, capsys, text):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        commands = (
+            ["hist", "--dict", str(empty), "--out", str(tmp_path / "hist.csv")],
+            ["ksvd", "--signals", str(empty), "--atoms", "4", "--sparsity", "1",
+             "--out-dir", str(tmp_path / "ksvd")],
+        )
+        for argv in commands:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {empty}: no matrix rows\n"
 
     def test_ksvd_command(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

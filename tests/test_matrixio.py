@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,12 +8,17 @@ from numpy.testing import assert_allclose
 from incoproj.matrixio import (
     Trace,
     format_cell,
-    read_csv,
     read_matrix,
     write_csv,
     write_histogram,
     write_matrix,
 )
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 class TestMatrixRoundTrip:
@@ -43,6 +51,15 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError) as exc:
             read_matrix(p)
         assert "bad.csv" in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n"])
+    def test_file_without_rows_rejected(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's no-data warning would fail here
+            with pytest.raises(ValueError, match="empty.csv: no matrix rows"):
+                read_matrix(p)
 
     def test_deterministic_bytes(self, tmp_path):
         M = np.random.default_rng(5).standard_normal((5, 5))
