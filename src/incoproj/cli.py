@@ -13,26 +13,15 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .coherence import mutual_coherence, offdiag_histogram, t_average_coherence
 from .dictlearn import coupled_ksvd, ksvd
 from .errors import ConfigError, EmptyAverage, IncoprojError
-from .harness import derive_seed, emit_reports, load_config, run_sweep
-from .linalg import as_dictionary, gram, set_blas_threads
+from .harness import derive_seed, emit_reports, load_config, load_dictionary, run_sweep
+from .linalg import gram, set_blas_threads
 from .matrixio import read_matrix, write_histogram, write_matrix
 from .optimizers import OPTIMIZERS, Arm, design
 
 PAPER_SCALE = dict(n=200, k=400, m=30, N=10000, S_range=tuple(range(1, 11)))
-
-
-def _load_or_generate_dictionary(args) -> np.ndarray:
-    if args.dict:
-        return as_dictionary(read_matrix(args.dict))
-    if args.n is None or args.k is None:
-        raise ConfigError("provide --dict FILE or both --n and --k")
-    seed = args.dict_seed if args.dict_seed is not None else derive_seed(0, "cli-dictionary")
-    return as_dictionary(np.random.default_rng(seed).standard_normal((args.n, args.k)))
 
 
 def _arm(name: str, args, **flags) -> Arm:
@@ -43,7 +32,13 @@ def _arm(name: str, args, **flags) -> Arm:
 
 
 def _cmd_design(args) -> int:
-    D = _load_or_generate_dictionary(args)
+    if args.dict:
+        D = load_dictionary(f"file:{args.dict}")
+    elif args.n is None or args.k is None:
+        raise ConfigError("provide --dict FILE or both --n and --k")
+    else:
+        seed = args.dict_seed if args.dict_seed is not None else derive_seed(0, "cli-dictionary")
+        D = load_dictionary(f"gaussian:{seed}", (args.n, args.k))
     os.makedirs(args.out_dir, exist_ok=True)
     arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
     P, trace = design(arm, D, args.m)

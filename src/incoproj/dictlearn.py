@@ -58,7 +58,8 @@ def atom_update_sweep(
     singular pair: the atom becomes the left singular vector, the nonzero
     coefficients become sigma1 times the right one.  The support of each
     coefficient row never grows.  Unused atoms are replaced by the
-    worst-represented training column, normalized.
+    worst-represented training columns, normalized, one column per atom;
+    once every column is taken, the rest are drawn at random.
 
     ``backmap = (W, solve)`` runs the sweep on a lifted problem: X is
     fitted by (W @ D) @ Theta, and every lifted atom or training column u
@@ -71,6 +72,7 @@ def atom_update_sweep(
     A = D if W is None else W @ D  # the dictionary that X is fitted by
     R = X - A @ Theta
     replaced: list[int] = []
+    seeds: list[int] = []  # training columns that re-seeded an atom in this pass
     for j in range(D.shape[1]):
         row = Theta[j]
         omega = np.flatnonzero(row)
@@ -88,9 +90,16 @@ def atom_update_sweep(
                 continue
             Theta[j, omega] = 0.0
             R[:, omega] = E
-        else:
-            worst = X[:, int(np.argmax(np.sum(R * R, axis=0)))]
+        elif len(seeds) < X.shape[1]:
+            # Unused atoms leave R as it is, so each one takes the worst
+            # column not yet taken (ties go to the smallest index).
+            err = np.sum(R * R, axis=0)
+            err[seeds] = -1.0
+            seeds.append(int(np.argmax(err)))
+            worst = X[:, seeds[-1]]
             d, nrm = _with_norm(worst if solve is None else solve(worst))
+        else:
+            nrm = 0.0  # every column is taken: draw at random
         if nrm <= ZERO_TOL:
             d, nrm = _with_norm(rng.standard_normal(D.shape[0]))
         D[:, j] = d / nrm
@@ -141,6 +150,19 @@ def purge_duplicate_atoms(
     return replaced
 
 
+def _start(X, k: int, S: int, iterations: int, seed: int):
+    """Check a learner's arguments and X; returns (X, rng, seeded unit-norm starting D)."""
+    for name, value in (("k", k), ("S", S), ("iterations", iterations)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    X = as_matrix(X, "training signals")
+    n, p = X.shape
+    if p < k:
+        warnings.warn(f"only {p} training signals for {k} atoms; expect poor training")
+    rng = np.random.default_rng(seed)
+    return X, rng, normalize_columns(rng.standard_normal((n, k)))
+
+
 def ksvd(X, k: int, S: int, iterations: int, seed: int) -> tuple[np.ndarray, np.ndarray, Trace]:
     """Learn an n x k dictionary by alternating OMP coding and atom updates.
 
@@ -150,18 +172,9 @@ def ksvd(X, k: int, S: int, iterations: int, seed: int) -> tuple[np.ndarray, np.
     offending atom with the worst-represented training column and show up
     in ``trace.replacements``.
     """
-    X = as_matrix(X, "training signals")
-    n, p = X.shape
-    if k < 1 or S < 1 or iterations < 1:
-        raise ValueError("k, S, iterations must all be >= 1")
-    if p < k:
-        warnings.warn(f"only {p} training signals for {k} atoms; expect poor training")
-    rng = np.random.default_rng(seed)
-    D = normalize_columns(rng.standard_normal((n, k)))
-
+    X, rng, D = _start(X, k, S, iterations, seed)
     objective = np.empty(iterations)
     replacements: list[tuple[int, int]] = []
-    Theta = np.zeros((k, p))
     for it in range(iterations):
         Theta = sparse_code(X, D, S)
         for j in atom_update_sweep(X, D, Theta, rng):
@@ -205,26 +218,15 @@ def coupled_ksvd(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must be in [0, 1]")
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    X = as_matrix(X, "training signals")
+    X, rng, D = _start(X, k, S, iterations, seed)
     Y = as_matrix(Y, "projected samples")
     if Y.shape[1] != X.shape[1]:
         raise ValueError("X and Y must have the same number of columns")
-    n, p = X.shape
-    m = Y.shape[0]
-    if p < k:
-        warnings.warn(f"only {p} training signals for {k} atoms; expect poor training")
-    rng = np.random.default_rng(seed)
-    D = normalize_columns(rng.standard_normal((n, k)))
+    m, n = Y.shape[0], X.shape[0]
 
     term1_hist: list[float] = []
     term2_hist: list[float] = []
     replacements: list[tuple[int, int]] = []
-    Theta = np.zeros((k, p))
-    P = np.zeros((m, n))
     prev_obj = np.inf
     for it in range(iterations):
         P = design(inner, D, m)[0]

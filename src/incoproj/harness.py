@@ -19,7 +19,7 @@ import numpy as np
 
 from .coherence import offdiag_histogram
 from .errors import ConfigError, IncoprojError
-from .linalg import as_dictionary, as_matrix, gram
+from .linalg import ZERO_TOL, as_dictionary, as_matrix, gram
 from .matrixio import read_matrix, write_csv, write_histogram
 from .optimizers import Arm, Key, design, lookup
 from .pursuit import basis_pursuit, omp
@@ -85,6 +85,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, value)
         if self.n < 1 or self.k < 2 or self.m < 1:
             raise ConfigError("need n >= 1, k >= 2, m >= 1")
+        if self.m > self.n:
+            raise ConfigError(f"m={self.m} exceeds n={self.n}: a projection has at most n rows")
         if not self.S_range:
             raise ConfigError("S_range must be nonempty")
         if any(S < 0 for S in self.S_range):
@@ -163,16 +165,6 @@ class Cell:
     def failure_rate(self) -> float:
         return float(np.mean(~self.success))
 
-    def row(self) -> tuple:
-        return (
-            self.optimizer_name,
-            self.solver_name,
-            self.S,
-            self.mean_relative_error,
-            self.failure_rate,
-            self.trial_count,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Sweep:
@@ -207,15 +199,18 @@ class Sweep:
                     )
 
 
-def load_dictionary(cfg: ExperimentConfig) -> np.ndarray:
-    kind, _, arg = cfg.dictionary_source.partition(":")
+def load_dictionary(source: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """The dictionary a ``gaussian:<seed>`` or ``file:<path>`` source names.
+
+    A Gaussian source draws a ``shape`` matrix from its seed; a file
+    source must have ``shape`` when one is given.
+    """
+    kind, _, arg = source.partition(":")
     if kind == "gaussian":
-        return as_dictionary(np.random.default_rng(int(arg)).standard_normal((cfg.n, cfg.k)))
+        return as_dictionary(np.random.default_rng(int(arg)).standard_normal(shape))
     data = read_matrix(arg)
-    if data.shape != (cfg.n, cfg.k):
-        raise ConfigError(
-            f"dictionary file {arg} has shape {data.shape}, expected ({cfg.n}, {cfg.k})"
-        )
+    if shape is not None and data.shape != shape:
+        raise ConfigError(f"dictionary file {arg} has shape {data.shape}, expected {shape}")
     return as_dictionary(data)
 
 
@@ -248,7 +243,7 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
     package error or a ``LinAlgError`` is recorded (status ``error:<Name>``,
     infinite relative error) instead of aborting the sweep.
     """
-    D = load_dictionary(cfg)
+    D = load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
 
     cells: list[Cell] = []
     histograms: dict[str, list[tuple[float, int]]] = {}
@@ -256,7 +251,7 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
         P = arm_projection(arm, D, cfg.m)
         Dhat = P @ D
         norms = np.linalg.norm(Dhat, axis=0)
-        degenerate = bool(np.any(norms <= 1e-12))
+        degenerate = bool(np.any(norms <= ZERO_TOL))
         if not degenerate:
             Dn = Dhat / norms
             histograms[arm.name] = offdiag_histogram(gram(Dhat), 50)
@@ -317,7 +312,8 @@ def emit_reports(sweep: Sweep, out_dir) -> list[str]:
     written.append(path)
 
     path = os.path.join(out_dir, "summary.csv")
-    write_csv(path, SUMMARY_HEADER, (c.row() for c in sweep.cells))
+    rows = (tuple(getattr(c, name) for name in SUMMARY_HEADER) for c in sweep.cells)
+    write_csv(path, SUMMARY_HEADER, rows)
     written.append(path)
 
     for arm_name, hist in sweep.arm_histograms.items():
@@ -346,14 +342,10 @@ def _parse_s_range(text: str) -> tuple[int, ...]:
     try:
         if "-" in text and "," not in text:
             lo, hi = text.split("-", 1)
-            values = tuple(range(int(lo), int(hi) + 1))
-        else:
-            values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"S_range {text!r} is not 'lo-hi' or a comma list") from None
-    if not values:
-        raise ConfigError("S_range is empty")
-    return values
 
 
 def _build_arm(name: str, kv: dict) -> Arm:

@@ -120,19 +120,24 @@ def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return w, _fix_signs(V)
 
 
-def symmetric_rank_truncate(G, m: int) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix of rank at most ``m``.
-
-    Keeps the ``m`` algebraically largest eigenvalues, clamps negatives to
-    zero, and rebuilds.  Idempotent for fixed ``m`` up to rounding.
-    """
+def _checked_top_eigh(G, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`top_eigh` of a finite square matrix, for a rank ``m`` in [1, its order]."""
     G = as_matrix(G, "gram")
     k = G.shape[0]
     if G.shape[1] != k:
         raise ValueError("square matrix required")
     if not 1 <= m <= k:
         raise InvalidRank(f"rank {m} not in [1, {k}]")
-    w, V = top_eigh(G, m)
+    return top_eigh(G, m)
+
+
+def symmetric_rank_truncate(G, m: int) -> np.ndarray:
+    """Nearest (Frobenius) PSD matrix of rank at most ``m``.
+
+    Keeps the ``m`` algebraically largest eigenvalues, clamps negatives to
+    zero, and rebuilds.  Idempotent for fixed ``m`` up to rounding.
+    """
+    w, V = _checked_top_eigh(G, m)
     w = np.clip(w, 0.0, None)
     out = (V * w) @ V.T
     return 0.5 * (out + out.T)
@@ -150,13 +155,7 @@ def sqrt_factor(G, m: int) -> np.ndarray:
         largest one (with a small absolute floor), i.e. the matrix is not
         positive semidefinite to working accuracy.
     """
-    G = as_matrix(G, "gram")
-    k = G.shape[0]
-    if G.shape[1] != k:
-        raise ValueError("square matrix required")
-    if not 1 <= m <= k:
-        raise InvalidRank(f"rank {m} not in [1, {k}]")
-    w, V = top_eigh(G, m)
+    w, V = _checked_top_eigh(G, m)
     lam_max = max(float(w[0]), 0.0)
     if float(w[-1]) < -1e-8 * lam_max - 1e-12:
         raise NotPSD(f"eigenvalue {w[-1]:.3e} too negative for sqrt factor")

@@ -19,6 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+# Stopping tolerance on relative infeasibility and duality gap: at most
+# 1% of pursuit.LP_TOL, so that basis_pursuit's certificate has room.
+TOL = 1e-10
+# Iteration cap; a solve that reaches it reports converged=False.  The
+# benchmark tracer (perfbench/tracer.py) counts cap hits against 100.
+MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class LPResult:
@@ -26,8 +33,6 @@ class LPResult:
     lam: np.ndarray  # dual variables of the equality constraints
     iterations: int
     converged: bool
-    primal_infeasibility: float
-    dual_infeasibility: float
 
 
 def _chol_solve_factory(M: np.ndarray):
@@ -59,13 +64,13 @@ def _step_length(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def solve_standard_lp(c, A, b, tol: float = 1e-10, max_iter: int = 100) -> LPResult:
+def solve_standard_lp(c, A, b) -> LPResult:
     """Predictor-corrector interior-point solve of min c@x s.t. A@x = b, x >= 0.
 
     Convergence requires relative primal and dual infeasibility and the
-    relative duality gap all at or below ``tol``.  The iteration count and
-    final residuals are reported either way; callers certify the solution
-    against their own tolerance.
+    relative duality gap all at or below ``TOL`` within ``MAX_ITER``
+    iterations.  The last iterate and its iteration count are reported
+    either way; callers certify the solution against their own tolerance.
     """
     c = np.asarray(c, dtype=float).ravel()
     A = np.asarray(A, dtype=float)
@@ -100,14 +105,18 @@ def solve_standard_lp(c, A, b, tol: float = 1e-10, max_iter: int = 100) -> LPRes
         pinf = float(np.linalg.norm(rb)) / bnorm
         dinf = float(np.linalg.norm(rc)) / cnorm
         gap = abs(cx - float(b @ lam)) / (1.0 + abs(cx))
-        ok = pinf <= tol and dinf <= tol and min(gap, mu / (1.0 + abs(cx))) <= tol
-        return rb, rc, mu, pinf, dinf, ok
+        ok = pinf <= TOL and dinf <= TOL and min(gap, mu / (1.0 + abs(cx))) <= TOL
+        return rb, rc, mu, ok
 
-    pinf = dinf = np.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        rb, rc, mu, pinf, dinf, converged = residuals(x, lam, s)
+    def newton(rxs):
+        # (dx, dlam, ds) for complementarity target rxs at the current
+        # iterate: predictor and corrector share its factorization, solve.
+        w = (rxs + x * rc) / s
+        dlam = solve(-rb - A @ w)
+        return w + d * (A.T @ dlam), dlam, -rc - A.T @ dlam
+
+    for iterations in range(1, MAX_ITER + 1):
+        rb, rc, mu, converged = residuals(x, lam, s)
         if converged:
             break
 
@@ -124,11 +133,7 @@ def solve_standard_lp(c, A, b, tol: float = 1e-10, max_iter: int = 100) -> LPRes
                 break
 
             # Predictor (affine scaling) direction.
-            rxs = -x * s
-            w = (rxs + x * rc) / s
-            dlam_a = solve(-rb - A @ w)
-            dx_a = w + d * (A.T @ dlam_a)
-            ds_a = -rc - A.T @ dlam_a
+            dx_a, _, ds_a = newton(-x * s)
             if not (np.all(np.isfinite(dx_a)) and np.all(np.isfinite(ds_a))):
                 break
             alpha_p = min(1.0, _step_length(x, dx_a))
@@ -139,11 +144,7 @@ def solve_standard_lp(c, A, b, tol: float = 1e-10, max_iter: int = 100) -> LPRes
                 break
 
             # Corrector direction with centering.
-            rxs = sigma * mu - x * s - dx_a * ds_a
-            w = (rxs + x * rc) / s
-            dlam = solve(-rb - A @ w)
-            dx = w + d * (A.T @ dlam)
-            ds = -rc - A.T @ dlam
+            dx, dlam, ds = newton(sigma * mu - x * s - dx_a * ds_a)
 
             eta = min(max(0.995, 1.0 - mu), 0.99995)
             alpha_p = min(1.0, eta * _step_length(x, dx))
@@ -162,13 +163,6 @@ def solve_standard_lp(c, A, b, tol: float = 1e-10, max_iter: int = 100) -> LPRes
         x, lam, s = x_new, lam_new, s_new
     else:
         # Ran out of iterations; the final step may still have converged.
-        _, _, _, pinf, dinf, converged = residuals(x, lam, s)
+        *_, converged = residuals(x, lam, s)
 
-    return LPResult(
-        x=x,
-        lam=lam,
-        iterations=iterations,
-        converged=converged,
-        primal_infeasibility=pinf,
-        dual_infeasibility=dinf,
-    )
+    return LPResult(x=x, lam=lam, iterations=iterations, converged=converged)

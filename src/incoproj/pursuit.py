@@ -40,14 +40,15 @@ class RecoveryResult:
     unique: bool | None = None
 
 
-def _measurement(y, rows: int) -> np.ndarray:
-    """``y`` as a finite float vector of length ``rows``."""
+def _problem(Dhat, y) -> tuple[np.ndarray, np.ndarray]:
+    """``Dhat`` as a finite float matrix and ``y`` as a finite float vector of its row count."""
+    Dh = as_matrix(Dhat, "effective dictionary")
     y = np.asarray(y, dtype=float).ravel()
-    if y.size != rows:
+    if y.size != Dh.shape[0]:
         raise ValueError("measurement length does not match matrix rows")
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement contains non-finite entries")
-    return y
+    return Dh, y
 
 
 def omp(Dhat, y, S: int) -> RecoveryResult:
@@ -58,8 +59,7 @@ def omp(Dhat, y, S: int) -> RecoveryResult:
     support, and stops at support size ``S`` or residual norm at or below
     ``RESIDUAL_TOL * ||y||``.
     """
-    Dh = as_matrix(Dhat, "effective dictionary")
-    y = _measurement(y, Dh.shape[0])
+    Dh, y = _problem(Dhat, y)
     if S < 0:
         raise ValueError("sparsity budget must be >= 0")
     norms = column_norms(Dh, "effective dictionary")
@@ -98,9 +98,8 @@ def basis_pursuit(Dhat, y) -> RecoveryResult:
     ``LP_TOL``.  Status is INFEASIBLE when y is not in the column span,
     MAX_ITER when the solver stopped without a certificate.
     """
-    Dh = as_matrix(Dhat, "effective dictionary")
-    m, k = Dh.shape
-    y = _measurement(y, m)
+    Dh, y = _problem(Dhat, y)
+    k = Dh.shape[1]
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         return RecoveryResult(np.zeros(k), 0, RecoveryStatus.CONVERGED)
@@ -111,7 +110,7 @@ def basis_pursuit(Dhat, y) -> RecoveryResult:
 
     A = np.hstack([Dh, -Dh])
     c = np.ones(2 * k)
-    res = solve_standard_lp(c, A, y, tol=min(1e-10, 0.01 * LP_TOL), max_iter=100)
+    res = solve_standard_lp(c, A, y)
     theta = res.x[:k] - res.x[k:]
 
     objective = float(c @ res.x)
@@ -149,9 +148,8 @@ def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
     NotFound
         If no support of size <= S_max fits.
     """
-    Dh = as_matrix(Dhat, "effective dictionary")
-    m, k = Dh.shape
-    y = _measurement(y, m)
+    Dh, y = _problem(Dhat, y)
+    k = Dh.shape[1]
     if S_max < 0:
         raise ValueError("S_max must be >= 0")
     total = sum(comb(k, s) for s in range(1, S_max + 1))

@@ -54,7 +54,7 @@ def configs(draw):
         "master_seed": st.integers(-(2**63), 2**63),
     }
     required = {
-        "n": st.integers(1, 500),
+        "n": st.integers(m, 500),  # a projection has at most n rows
         "k": st.integers(2, 1000),
         "m": st.just(m),
         "S_range": st.lists(st.integers(0, m - 1), min_size=1, unique=True).map(tuple),

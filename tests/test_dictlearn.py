@@ -126,6 +126,34 @@ class TestAtomUpdateSweep:
             cors = np.abs(normalize_columns(X).T @ D[:, 3])
             assert cors.max() > 1 - 1e-10
 
+    def test_unused_atoms_reseeded_from_distinct_columns(self):
+        # an unused atom leaves the residual as it is, so without exclusion
+        # every unused atom of a pass would take the same worst column
+        rng = np.random.default_rng(7)
+        D = normalize_columns(rng.standard_normal((6, 8)))
+        X = rng.standard_normal((6, 30))
+        Theta = sparse_code(X, D, 2)
+        Theta[[2, 5], :] = 0.0
+        assert {2, 5} <= set(atom_update_sweep(X, D, Theta, rng))
+        columns = normalize_columns(X)
+        planted = [int(np.argmax(np.abs(columns.T @ D[:, j]))) for j in (2, 5)]
+        for j, col in zip((2, 5), planted):
+            assert_allclose(np.abs(columns[:, col] @ D[:, j]), 1.0, atol=1e-12)
+        assert planted[0] != planted[1]
+
+    def test_every_column_taken_then_random(self):
+        # more unused atoms than training columns: each column re-seeds one
+        # atom, and the rest are drawn at random
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((5, 3))
+        D = normalize_columns(rng.standard_normal((5, 6)))
+        assert atom_update_sweep(X, D, np.zeros((6, 3)), rng) == list(range(6))
+        cors = np.abs(normalize_columns(X).T @ D)  # column x atom
+        assert_allclose(cors[:, :3].max(axis=0), 1.0, atol=1e-12)
+        assert sorted(np.argmax(cors[:, :3], axis=0)) == [0, 1, 2]
+        assert cors[:, 3:].max() < 1 - 1e-6
+        assert_allclose(np.linalg.norm(D, axis=0), 1.0, atol=1e-12)
+
 
 class TestDuplicatePurge:
     def test_duplicate_pair_broken(self):

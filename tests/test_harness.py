@@ -127,6 +127,9 @@ class TestExperimentConfig:
             (dict(dictionary_source="file:"), "dictionary_source"),
             # config text drops a line's '#' and all after it: the echo would not reparse
             (dict(dictionary_source="file:runs#2/D.csv"), "'#', which starts a config comment"),
+            # every arm but the random one would fail at design time, after
+            # the random arm had run all its trials
+            (dict(m=8), "m=8 exceeds n=6"),
         ],
     )
     def test_rejects_meaningless_sweeps(self, overrides, message):
@@ -183,7 +186,7 @@ class TestFileSource:
         write_matrix(path, np.ones((3, 5)))
         cfg = tiny_config(dictionary_source=f"file:{path}")
         with pytest.raises(ConfigError):
-            load_dictionary(cfg)
+            load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
 
     def test_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -191,7 +194,7 @@ class TestFileSource:
         path = tmp_path / "dict.csv"
         write_matrix(path, D)
         cfg = tiny_config(dictionary_source=f"file:{path}")
-        assert_allclose(load_dictionary(cfg), D, rtol=1e-12)
+        assert_allclose(load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k)), D, rtol=1e-12)
 
 
 def trial_records(sweep) -> list[dict]:
@@ -376,7 +379,7 @@ class TestConfigParsing:
         assert elad_arm.params["gamma"] == 0.6  # default
         assert elad_arm.params["iterations"] == 4
         # arms carry no m: each projection gets the experiment's
-        D = load_dictionary(cfg)
+        D = load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
         for arm in cfg.optimizers:
             assert arm_projection(arm, D, cfg.m).shape == (4, 6)
         assert alt_arm.params["t"] == 0.45
@@ -430,6 +433,11 @@ class TestConfigParsing:
     def test_meaningless_sweeps_rejected_at_parse(self, old, new):
         with pytest.raises(ConfigError):
             parse_config_text(CONFIG_TEXT.replace(old, new))
+
+    @pytest.mark.parametrize("S_range", ["", "3-1"])
+    def test_empty_s_range_rejected_by_the_config(self, S_range):
+        with pytest.raises(ConfigError, match="^S_range must be nonempty$"):
+            parse_config_text(CONFIG_TEXT.replace("S_range = 1-2", f"S_range = {S_range}"))
 
     def test_defaults_fill_absent_keys(self):
         text = "\n".join(
@@ -666,6 +674,19 @@ class TestCLI:
         label, values = capsys.readouterr().out.rstrip("\n").split(" = ")
         assert label == "coupled final terms"
         assert all(float(v) >= 0.0 for v in values.split(", "))  # plain floats
+
+    @pytest.mark.parametrize("command", ["ksvd", "coupled"])
+    def test_zero_atoms_rejected(self, tmp_path, capsys, command):
+        X = np.random.default_rng(9).standard_normal((6, 40))
+        signals, meas = tmp_path / "X.csv", tmp_path / "Y.csv"
+        write_matrix(signals, X)
+        write_matrix(meas, X[:3])
+        argv = [command, "--signals", str(signals), "--atoms", "0", "--sparsity", "2",
+                "--out-dir", str(tmp_path / "out")]
+        if command == "coupled":
+            argv += ["--measurements", str(meas)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

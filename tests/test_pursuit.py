@@ -12,6 +12,7 @@ from incoproj import (
     omp,
     solve_standard_lp,
 )
+from incoproj import lp, pursuit
 from incoproj.errors import TooLarge, ZeroColumn
 
 from synthetic import gaussian_dictionary, incoherent_frame
@@ -41,8 +42,9 @@ class TestLP:
             c = A.T @ lam + s  # dual feasible by construction
             res = solve_standard_lp(c, A, b)
             assert res.converged
-            assert res.primal_infeasibility <= 1e-8
-            assert res.dual_infeasibility <= 1e-8
+            # primal residual and dual feasibility, from x and lam alone
+            assert np.linalg.norm(A @ res.x - b) / (1.0 + np.linalg.norm(b)) <= 1e-8
+            assert np.all(c - A.T @ res.lam >= -1e-8 * (1.0 + np.linalg.norm(c)))
             # weak duality sanity: c@x >= b@lam for any dual feasible lam
             assert float(c @ res.x) >= float(b @ lam) - 1e-6
 
@@ -60,6 +62,10 @@ class TestLP:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_standard_lp(np.ones(3), np.ones((2, 4)), np.ones(2))
+
+    def test_stopping_rule_leaves_room_for_the_bp_certificate(self):
+        # basis_pursuit certifies at LP_TOL; the solver stops well inside it
+        assert lp.TOL <= 0.01 * pursuit.LP_TOL
 
 
 class TestOMP:

@@ -10,6 +10,7 @@ imported as it is, never changed.
 """
 
 import csv
+import gzip
 import sys
 from pathlib import Path
 
@@ -36,8 +37,10 @@ master_seed = 1
 """
 
 
-def traced_run(*argvs) -> tracer.SpanIndex:
-    """Run CLI commands with the tracer installed, as a traced benchmark pass does."""
+def traced_run(tmp_path, *argvs) -> tracer.SpanIndex:
+    """Run CLI commands with the tracer installed, as a traced benchmark pass does,
+    then write the spans as the pass does: every count read off a result must
+    be JSON-serialisable."""
     tr = tracer.Tracer()
     tr.install()
     try:
@@ -45,6 +48,10 @@ def traced_run(*argvs) -> tracer.SpanIndex:
             assert cli.main(argv) == 0
     finally:
         tr.uninstall()
+    spans = tmp_path / "spans.csv.gz"
+    tr.write(spans, 0.0)
+    with gzip.open(spans, "rt", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + len(tr.spans)
     return tracer.SpanIndex(tr.spans)
 
 
@@ -56,7 +63,7 @@ def test_sweep_records_every_span_and_pairs_solves_with_rows(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(SWEEP_CONFIG)
     out = tmp_path / "bench"
-    ix = traced_run(["bench", "--config", str(config), "--out-dir", str(out)])
+    ix = traced_run(tmp_path, ["bench", "--config", str(config), "--out-dir", str(out)])
     assert missing_spans(ix, "desk-sweep") == []
     assert missing_spans(ix, "paper-design") == []
     with open(out / "trials.csv", newline="") as fh:
@@ -74,6 +81,7 @@ def test_learning_records_every_span(tmp_path):
     write_matrix(measurements, P @ X)
     learn = ["--signals", str(signals), "--atoms", "8", "--sparsity", "2"]
     ix = traced_run(
+        tmp_path,
         ["ksvd", *learn, "--iterations", "3", "--out-dir", str(tmp_path / "ksvd")],
         ["coupled", *learn, "--measurements", str(measurements), "--outer", "3",
          "--inner", "sapiro", "--out-dir", str(tmp_path / "coupled")],
