@@ -33,7 +33,8 @@ def _arm(name: str, args, **flags) -> Arm:
 
 def _cmd_design(args) -> int:
     if args.dict:
-        D = load_dictionary(f"file:{args.dict}")
+        shape = (args.n, args.k) if args.n is not None and args.k is not None else None
+        D = load_dictionary(f"file:{args.dict}", shape)
     elif args.n is None or args.k is None:
         raise ConfigError("provide --dict FILE or both --n and --k")
     else:
@@ -133,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     designers = [name for name in OPTIMIZERS if name not in ("none", "fixed")]
     p.add_argument("--method", required=True, choices=designers)
     p.add_argument("--dict", help="dictionary matrix CSV (no header)")
-    p.add_argument("--n", type=int, help="rows of a generated Gaussian dictionary")
-    p.add_argument("--k", type=int, help="columns of a generated Gaussian dictionary")
+    p.add_argument("--n", type=int, help="rows of a generated Gaussian dictionary, or of the --dict file")
+    p.add_argument("--k", type=int, help="columns of a generated Gaussian dictionary, or of the --dict file")
     p.add_argument("--dict-seed", type=int, default=None)
     p.add_argument("--m", type=int, required=True, help="projection rows")
     _add_optimizer_flags(p)

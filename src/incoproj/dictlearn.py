@@ -28,13 +28,8 @@ DUPLICATE_CAP = 0.99
 
 
 def sparse_code(signals: np.ndarray, D: np.ndarray, S: int) -> np.ndarray:
-    """Code every column of ``signals`` against D with S-sparse OMP."""
-    k = D.shape[1]
-    p = signals.shape[1]
-    Theta = np.zeros((k, p))
-    for i in range(p):
-        Theta[:, i] = omp(D, signals[:, i], S).theta_hat
-    return Theta
+    """Code every column of ``signals`` against D with S-sparse OMP, as one block."""
+    return omp(D, signals, S).theta_hat
 
 
 def _fix_svd_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,10 +22,9 @@ from .linalg import as_matrix
 
 def write_matrix(path: str | os.PathLike, M) -> None:
     M = as_matrix(M)
+    line = ",".join(["%.16e"] * M.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        for row in M:
-            fh.write(",".join(f"{v:.16e}" for v in row))
-            fh.write("\n")
+        fh.writelines(line % tuple(row) for row in M.tolist())
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:

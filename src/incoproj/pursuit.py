@@ -34,17 +34,29 @@ class RecoveryStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    theta_hat: np.ndarray  # length k
+    """What a solver returns for one measurement vector, or for an m x B block.
+
+    ``theta_hat`` is the length-k estimate, or k x B with one column per
+    measurement of a block.  ``iterations_or_pivots`` counts the atoms OMP
+    selected (over every column of a block), BP's interior-point
+    iterations, or the supports the exhaustive oracle tried.  A block's
+    ``status`` is CONVERGED only when every column converged.
+    """
+
+    theta_hat: np.ndarray
     iterations_or_pivots: int
     status: RecoveryStatus
     unique: bool | None = None
 
 
-def _problem(Dhat, y) -> tuple[np.ndarray, np.ndarray]:
-    """``Dhat`` as a finite float matrix and ``y`` as a finite float vector of its row count."""
+def _problem(Dhat, y, block: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``Dhat`` as a finite float matrix and ``y`` as finite float measurements of its
+    row count: a vector, or an m x B block when ``block`` is set."""
     Dh = as_matrix(Dhat, "effective dictionary")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != Dh.shape[0]:
+    y = np.asarray(y, dtype=float)
+    if not block:
+        y = y.ravel()
+    if y.shape[0] != Dh.shape[0]:
         raise ValueError("measurement length does not match matrix rows")
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement contains non-finite entries")
@@ -56,13 +68,22 @@ def omp(Dhat, y, S: int) -> RecoveryResult:
 
     Selects the column with the largest normalized correlation against the
     current residual (ties go to the smallest index), re-fits on the grown
-    support, and stops at support size ``S`` or residual norm at or below
-    ``RESIDUAL_TOL * ||y||``.
+    support, and stops at support size ``S``, at residual norm at or below
+    ``RESIDUAL_TOL * ||y||``, or when the residual is orthogonal to every
+    unused column.
+
+    ``y`` is one measurement vector, or an m x B block (``np.ndim(y) == 2``)
+    whose columns are pursued in lockstep, each by the same rules; the
+    dictionary is checked once for the whole block.  See
+    :class:`RecoveryResult` for what each field holds for a block.
     """
-    Dh, y = _problem(Dhat, y)
+    block = np.ndim(y) == 2
+    Dh, y = _problem(Dhat, y, block)
     if S < 0:
         raise ValueError("sparsity budget must be >= 0")
     norms = column_norms(Dh, "effective dictionary")
+    if block:
+        return _omp_block(Dh, y, S, norms)
     tol = RESIDUAL_TOL * float(np.linalg.norm(y))
 
     support: list[int] = []
@@ -86,6 +107,71 @@ def omp(Dhat, y, S: int) -> RecoveryResult:
     residual = float(np.linalg.norm(y - Dh @ theta))
     status = RecoveryStatus.CONVERGED if residual <= tol else RecoveryStatus.MAX_ITER
     return RecoveryResult(theta, len(support), status)
+
+
+def _omp_block(Dh: np.ndarray, Y: np.ndarray, S: int, norms: np.ndarray) -> RecoveryResult:
+    """OMP on every column of Y in lockstep, after Batch-OMP (Rubinstein, Zibulevsky & Elad 2008).
+
+    All growing columns hold supports of one size, so each step selects one
+    atom per column from one product ``R @ Dh``.  Each support is kept as
+    ``Dh[:, support] = Q.T @ U`` with orthonormal rows in ``Q``: the new
+    atom is orthogonalized against them by twice-applied Gram-Schmidt, the
+    residual is the signal minus its projection on Q, and a column's
+    coefficients come from one triangular solve when it stops growing.
+    """
+    m, k = Dh.shape
+    B = Y.shape[1]
+    tol = RESIDUAL_TOL * np.linalg.norm(Y, axis=0)
+    Theta = np.zeros((k, B))
+    cols = np.arange(B)  # the columns still growing
+    Yc = Y.T.copy()  # their signals, one per row
+    R = Yc.copy()  # and their residuals
+    Q = np.empty((B, 0, m))
+    U = np.empty((B, 0, 0))
+    z = np.empty((B, 0))  # Q @ signal
+    support = np.empty((B, 0), dtype=int)
+    atoms = 0
+    for s in range(S):
+        rnorm = np.linalg.norm(R, axis=1)
+        scores = np.abs(R @ Dh) / norms
+        rows = np.arange(cols.size)
+        scores[rows[:, None], support] = -1.0
+        j = np.argmax(scores, axis=1)  # first occurrence: smallest index on ties
+        grow = (rnorm > tol[cols]) & (scores[rows, j] > 1e-13 * np.maximum(rnorm, 1e-300))
+        if not grow.all():
+            _place(Theta, cols[~grow], support[~grow], U[~grow], z[~grow])
+            cols, Yc, Q, U, z, support, j = (a[grow] for a in (cols, Yc, Q, U, z, support, j))
+            if not cols.size:
+                break
+        v = Dh.T[j]  # the new atoms, one per row (a copy)
+        h = np.zeros((cols.size, s))
+        for _ in range(2):
+            c = np.einsum("bsm,bm->bs", Q, v)
+            v -= np.einsum("bsm,bs->bm", Q, c)
+            h += c
+        diag = np.linalg.norm(v, axis=1)
+        Q = np.concatenate([Q, (v / diag[:, None])[:, None, :]], axis=1)
+        U = np.pad(U, ((0, 0), (0, 1), (0, 1)))
+        U[:, :s, s] = h
+        U[:, s, s] = diag
+        z = np.column_stack([z, np.einsum("bm,bm->b", Q[:, s], Yc)])
+        support = np.column_stack([support, j])
+        R = Yc - np.einsum("bsm,bs->bm", Q, z)
+        atoms += cols.size
+    _place(Theta, cols, support, U, z)
+
+    residual = np.linalg.norm(Y - Dh @ Theta, axis=0)
+    status = RecoveryStatus.CONVERGED if np.all(residual <= tol) else RecoveryStatus.MAX_ITER
+    return RecoveryResult(Theta, atoms, status)
+
+
+def _place(Theta: np.ndarray, cols: np.ndarray, support: np.ndarray, U: np.ndarray, z: np.ndarray) -> None:
+    """Solve U @ coef = z per column by back substitution; write coef into Theta."""
+    coef = np.empty_like(z)
+    for i in reversed(range(z.shape[1])):
+        tail = np.einsum("bl,bl->b", U[:, i, i + 1 :], coef[:, i + 1 :])
+        coef[:, i] = (z[:, i] - tail) / U[:, i, i]
+    Theta[support, cols[:, None]] = coef
 
 
 def basis_pursuit(Dhat, y) -> RecoveryResult:

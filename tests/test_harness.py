@@ -520,6 +520,17 @@ class TestCLI:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_design_dict_file_must_match_n_and_k(self, tmp_path, capsys):
+        dict_path = tmp_path / "D.csv"
+        write_matrix(dict_path, np.random.default_rng(2).standard_normal((30, 60)))
+        rc = main(["design", "--method", "sapiro", "--dict", str(dict_path), "--n", "8", "--k", "12",
+                   "--m", "4", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: dictionary file {dict_path} has shape (30, 60), expected (8, 12)\n"
+        )
+        assert not (tmp_path / "out" / "projection.csv").exists()
+
     def test_zero_atom_dictionary_rejected(self, tmp_path, capsys):
         D = np.random.default_rng(5).standard_normal((6, 12))  # the config's n x k
         D[:, 3] = 0.0

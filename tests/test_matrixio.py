@@ -61,6 +61,17 @@ class TestMatrixRoundTrip:
             with pytest.raises(ValueError, match="empty.csv: no matrix rows"):
                 read_matrix(p)
 
+    @pytest.mark.parametrize("M", [
+        [[-0.0, 5e-324, 1e308], [3, -7, 0], [0.1, -2.5e-300, 1 / 3]],
+        np.arange(-4, 8).reshape(3, 4),
+    ])
+    def test_bytes_match_per_value_format(self, tmp_path, M):
+        p = tmp_path / "m.csv"
+        write_matrix(p, M)
+        rows = np.asarray(M, dtype=float)
+        expected = "".join(",".join(f"{v:.16e}" for v in row) + "\n" for row in rows)
+        assert p.read_bytes() == expected.encode()
+
     def test_deterministic_bytes(self, tmp_path):
         M = np.random.default_rng(5).standard_normal((5, 5))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -15,7 +15,7 @@ from incoproj import (
 from incoproj import lp, pursuit
 from incoproj.errors import TooLarge, ZeroColumn
 
-from synthetic import gaussian_dictionary, incoherent_frame
+from synthetic import gaussian_dictionary, incoherent_frame, planted_signals
 
 
 class TestLP:
@@ -114,8 +114,9 @@ class TestOMP:
     def test_zero_column_rejected(self):
         D = np.ones((4, 3))
         D[:, 2] = 0.0
-        with pytest.raises(ZeroColumn, match=r"column 2 has zero norm \(effective dictionary\)"):
-            omp(D, np.ones(4), 1)
+        for y in (np.ones(4), np.ones((4, 2))):
+            with pytest.raises(ZeroColumn, match=r"column 2 has zero norm \(effective dictionary\)"):
+                omp(D, y, 1)
 
     def test_nonfinite_measurement_rejected(self):
         D = gaussian_dictionary(4, 6, 3)
@@ -131,6 +132,68 @@ class TestOMP:
         D = np.stack([v, v, w], axis=1)
         res = omp(D, v.copy(), 1)
         assert np.flatnonzero(res.theta_hat).tolist() == [0]
+
+
+    @staticmethod
+    def block_instance(m, k, seed, unit):
+        """A seeded m x k dictionary and a block whose first half is planted 3-sparse
+        and second half random, then a zero column and a 1-sparse column."""
+        rng = np.random.default_rng(seed)
+        D = rng.standard_normal((m, k))
+        D = normalize_columns(D) if unit else D * rng.uniform(0.2, 5.0, k)
+        Y = rng.standard_normal((m, 40))
+        _, Y[:, :20] = planted_signals(D, 3, 20, seed)
+        Y[:, 38] = 0.0
+        Y[:, 39] = 2.5 * D[:, 5]
+        return D, Y
+
+    @staticmethod
+    def assert_block_matches_vectors(D, Y, S):
+        """Every column of the block solve is the vector solve of that column."""
+        block = omp(D, Y, S)
+        singles = [omp(D, y, S) for y in Y.T]
+        assert block.theta_hat.shape == (D.shape[1], Y.shape[1])
+        for i, single in enumerate(singles):
+            col = block.theta_hat[:, i]
+            assert np.flatnonzero(col).tolist() == np.flatnonzero(single.theta_hat).tolist()
+            assert np.linalg.norm(col - single.theta_hat) <= 1e-12 * np.linalg.norm(single.theta_hat)
+            assert omp(D, Y[:, [i]], S).status is single.status
+        assert block.iterations_or_pivots == sum(r.iterations_or_pivots for r in singles)
+        all_converged = all(r.status is RecoveryStatus.CONVERGED for r in singles)
+        assert (block.status is RecoveryStatus.CONVERGED) == all_converged
+        return singles
+
+    @pytest.mark.parametrize(
+        "m, k, unit, S", [(20, 40, True, 3), (28, 40, False, 3), (12, 100, True, 4), (12, 100, True, 0)]
+    )
+    def test_block_matches_vector_path(self, m, k, unit, S):
+        D, Y = self.block_instance(m, k, m * k, unit)
+        singles = self.assert_block_matches_vectors(D, Y, S)
+        zero, one_sparse = singles[38], singles[39]
+        assert zero.status is RecoveryStatus.CONVERGED and zero.iterations_or_pivots == 0
+        if S:
+            # stops at the residual tolerance before spending all S atoms
+            assert one_sparse.status is RecoveryStatus.CONVERGED and one_sparse.iterations_or_pivots == 1
+        else:
+            assert all(r.status is RecoveryStatus.MAX_ITER for r in singles[:38] + [one_sparse])
+
+    def test_block_tie_breaks_to_smallest_index(self):
+        D, Y = self.block_instance(20, 40, 9, True)
+        D[:, 33] = D[:, 4]
+        Y[:, :20] += 3.0 * D[:, [4]]  # atom 4 and its copy 33 tie in every planted column
+        self.assert_block_matches_vectors(D, Y, 3)
+        Theta = omp(D, Y, 3).theta_hat
+        assert np.all(Theta[4, :20] != 0.0) and not np.any(Theta[33])
+
+    def test_block_rejects_what_the_vector_path_rejects(self):
+        D = gaussian_dictionary(4, 6, 3)
+        nonfinite = np.ones((4, 3))
+        nonfinite[2, 1] = np.nan
+        for Y, message in ((nonfinite, "measurement contains non-finite"),
+                           (np.ones((5, 3)), "measurement length does not match matrix rows")):
+            for y in (Y, Y[:, 1]):
+                with pytest.raises(ValueError, match=message):
+                    omp(D, y, 2)
 
 
 class TestBasisPursuit:
