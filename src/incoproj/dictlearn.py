@@ -15,7 +15,7 @@ import warnings
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SingularSystem
 from .linalg import ZERO_TOL, as_matrix, normalize_columns
@@ -85,19 +85,9 @@ def atom_update_sweep(
                 continue
             Theta[j, omega] = 0.0
             R[:, omega] = E
-        elif len(seeds) < X.shape[1]:
-            # Unused atoms leave R as it is, so each one takes the worst
-            # column not yet taken (ties go to the smallest index).
-            err = np.sum(R * R, axis=0)
-            err[seeds] = -1.0
-            seeds.append(int(np.argmax(err)))
-            worst = X[:, seeds[-1]]
-            d, nrm = _with_norm(worst if solve is None else solve(worst))
-        else:
-            nrm = 0.0  # every column is taken: draw at random
-        if nrm <= ZERO_TOL:
-            d, nrm = _with_norm(rng.standard_normal(D.shape[0]))
-        D[:, j] = d / nrm
+            D[:, j] = _random_atom(rng, D.shape[0])
+        else:  # unused atoms leave R as it is
+            D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
         if W is not None:
             A[:, j] = W @ D[:, j]
         replaced.append(j)
@@ -106,6 +96,27 @@ def atom_update_sweep(
 
 def _with_norm(d: np.ndarray) -> tuple[np.ndarray, float]:
     return d, float(np.linalg.norm(d))
+
+
+def _random_atom(rng: np.random.Generator, n: int) -> np.ndarray:
+    d, nrm = _with_norm(rng.standard_normal(n))
+    return d / nrm
+
+
+def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve=None) -> np.ndarray:
+    """The one re-seed rule: the worst-represented column of X (by R) not yet
+    in ``seeds``, ties to the smallest index, mapped by ``solve`` and made unit;
+    it joins ``seeds``.  A random atom once every column is taken, or if it is zero.
+    """
+    if len(seeds) < X.shape[1]:
+        err = np.sum(R * R, axis=0)
+        err[seeds] = -1.0
+        seeds.append(int(np.argmax(err)))
+        worst = X[:, seeds[-1]]
+        d, nrm = _with_norm(worst if solve is None else solve(worst))
+        if nrm > ZERO_TOL:
+            return d / nrm
+    return _random_atom(rng, n)
 
 
 def purge_duplicate_atoms(
@@ -117,31 +128,20 @@ def purge_duplicate_atoms(
     """Break up near-duplicate atom pairs (in place); returns replaced indices.
 
     Two unit atoms with |inner product| above ``DUPLICATE_CAP`` represent
-    the same direction; the later one is re-seeded with the currently
-    worst-represented training column (its coefficient row is cleared) so
-    the next coding pass can redistribute the work.
+    the same direction.  Pairs are read off one Gram in row-major order,
+    skipping atoms already replaced; the later atom of each pair is
+    re-seeded by :func:`atom_update_sweep`'s rule for unused atoms and its
+    coefficient row is cleared, so the next coding pass can redistribute
+    the work.
     """
-    k = D.shape[1]
     R = X - D @ Theta
-    order = iter(np.argsort(-np.sum(R * R, axis=0)))
+    seeds: list[int] = []
     replaced: list[int] = []
-    for i in range(k):
-        if i in replaced:
-            continue
-        for j in range(i + 1, k):
-            if j in replaced:
-                continue
-            if abs(float(D[:, i] @ D[:, j])) > DUPLICATE_CAP:
-                col = None
-                for idx in order:
-                    col = X[:, idx]
-                    if float(np.linalg.norm(col)) > ZERO_TOL:
-                        break
-                if col is None or float(np.linalg.norm(col)) <= ZERO_TOL:
-                    col = rng.standard_normal(X.shape[0])
-                D[:, j] = col / float(np.linalg.norm(col))
-                Theta[j, :] = 0.0
-                replaced.append(j)
+    for i, j in zip(*np.nonzero(np.triu(np.abs(D.T @ D) > DUPLICATE_CAP, 1))):
+        if i not in replaced and j not in replaced:
+            D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0])
+            Theta[j] = 0.0
+            replaced.append(int(j))
     return replaced
 
 
@@ -228,9 +228,9 @@ def coupled_ksvd(
 
         M = lam * lam * np.eye(n) + P.T @ P
         w = np.linalg.eigvalsh(M)
-        if w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
+        L, info = dpotrf(M, lower=1, clean=0)
+        if info or w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
             raise SingularSystem("lam^2 I + P.T P is numerically singular")
-        M_factor = scipy.linalg.cho_factor(M, lower=True)
 
         W = np.vstack([lam * np.eye(n), P])
         # `+ 0.0` canonicalizes -0.0 from lam * (negative): at lam = 0 the
@@ -238,7 +238,7 @@ def coupled_ksvd(
         # or Theta loses its exact invariance to X.
         Z = np.vstack([lam * X + 0.0, Y])
         Theta = sparse_code(Z, W @ D, S)
-        backmap = (W, lambda u: scipy.linalg.cho_solve(M_factor, W.T @ u))
+        backmap = (W, lambda u: dpotrs(L, W.T @ u, lower=1)[0])
         for j in atom_update_sweep(Z, D, Theta, rng, backmap):
             replacements.append((it, j))
 

@@ -18,7 +18,7 @@ from itertools import groupby
 import numpy as np
 
 from .coherence import offdiag_histogram
-from .errors import ConfigError, IncoprojError
+from .errors import ConfigError
 from .linalg import ZERO_TOL, as_dictionary, as_matrix, gram
 from .matrixio import read_matrix, write_csv, write_histogram
 from .optimizers import Arm, Key, design, lookup
@@ -239,9 +239,9 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
     """Run every (arm, S, trial, solver) combination, one (arm, S) block at a time.
 
     Identical master seeds give identical planted signals in every arm, and
-    the whole sweep is deterministic.  A trial whose solve raises a
-    package error or a ``LinAlgError`` is recorded (status ``error:<Name>``,
-    infinite relative error) instead of aborting the sweep.
+    the whole sweep is deterministic.  A trial whose solve raises any
+    exception is recorded (status ``error:<Name>``, infinite relative
+    error) instead of aborting the sweep.
     """
     D = load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
 
@@ -279,7 +279,7 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
                             else:
                                 rel_err = 0.0 if not np.any(theta_hat) else float("inf")
                             status = res.status.value
-                        except (IncoprojError, np.linalg.LinAlgError) as exc:
+                        except Exception as exc:
                             rel_err, status = float("inf"), f"error:{type(exc).__name__}"
                     errors[j, i] = rel_err
                     statuses[j].append(status)

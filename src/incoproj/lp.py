@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Stopping tolerance on relative infeasibility and duality gap: at most
 # 1% of pursuit.LP_TOL, so that basis_pursuit's certificate has room.
@@ -36,7 +36,7 @@ class LPResult:
 
 
 def _chol_solve_factory(M: np.ndarray):
-    """Cholesky solve with escalating diagonal jitter for near-singular M."""
+    """LAPACK Cholesky solve (dpotrf/dpotrs), escalating diagonal jitter for near-singular M."""
     if not np.all(np.isfinite(M)):
         # Jitter cannot repair overflow; let the caller treat this as a
         # numerical breakdown of the current iterate.
@@ -46,13 +46,10 @@ def _chol_solve_factory(M: np.ndarray):
         scale = 1.0
     jitter = 0.0
     for _ in range(8):
-        try:
-            cf = scipy.linalg.cho_factor(
-                M + jitter * np.eye(M.shape[0]) if jitter else M, lower=True
-            )
-            return lambda rhs: scipy.linalg.cho_solve(cf, rhs)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-13 * scale)
+        L, info = dpotrf(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=1, clean=0)
+        if info == 0:
+            return lambda rhs: dpotrs(L, rhs, lower=1)[0]
+        jitter = max(jitter * 100.0, 1e-13 * scale)
     raise np.linalg.LinAlgError("normal equations not factorizable even with jitter")
 
 
@@ -113,7 +110,8 @@ def solve_standard_lp(c, A, b) -> LPResult:
         # iterate: predictor and corrector share its factorization, solve.
         w = (rxs + x * rc) / s
         dlam = solve(-rb - A @ w)
-        return w + d * (A.T @ dlam), dlam, -rc - A.T @ dlam
+        At_dlam = A.T @ dlam
+        return w + d * At_dlam, dlam, -rc - At_dlam
 
     for iterations in range(1, MAX_ITER + 1):
         rb, rc, mu, converged = residuals(x, lam, s)

@@ -179,6 +179,51 @@ class TestDuplicatePurge:
         assert purge_duplicate_atoms(X, D, Theta, rng) == []
         assert np.array_equal(D, D_before)
 
+    @staticmethod
+    def _two_pairs(seed):
+        """Unit atoms 0..5 with the duplicate pairs (0, 3) and (1, 5)."""
+        D = normalize_columns(np.random.default_rng(seed).standard_normal((6, 6)))
+        D[:, 3] = D[:, 0]
+        D[:, 5] = -D[:, 1]
+        return D
+
+    def test_pairs_take_worst_distinct_columns_by_the_sweep_rule(self):
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((6, 8))
+        X[:, 2] *= 10.0
+        X[:, 4] = X[:, 2] * [1, -1, 1, -1, 1, -1]  # ties with column 2 for the worst
+        D = self._two_pairs(21)
+        assert purge_duplicate_atoms(X, D, np.zeros((6, 8)), rng) == [3, 5]
+        assert_allclose(D[:, [3, 5]], X[:, [2, 4]] / np.linalg.norm(X[:, 2]), atol=1e-15)
+        # the sweep's rule on the same residual: with every atom unused,
+        # its first two atoms take the same two columns
+        D_sweep = self._two_pairs(21)
+        atom_update_sweep(X, D_sweep, np.zeros((6, 8)), np.random.default_rng(0))
+        assert np.array_equal(D[:, [3, 5]], D_sweep[:, :2])
+
+    def test_every_column_taken_then_random(self):
+        X = np.random.default_rng(22).standard_normal((6, 1))
+        D = self._two_pairs(23)
+        seed = 24
+        assert purge_duplicate_atoms(X, D, np.zeros((6, 1)), np.random.default_rng(seed)) == [3, 5]
+        assert_allclose(D[:, 3], X[:, 0] / np.linalg.norm(X[:, 0]), atol=1e-15)
+        draw = np.random.default_rng(seed).standard_normal(6)
+        assert np.array_equal(D[:, 5], draw / np.linalg.norm(draw))
+
+    def test_zero_worst_column_gives_a_random_atom(self):
+        # both columns are represented exactly; the tie goes to column 0,
+        # which is zero, so atom 3 is drawn at random and atom 5 takes column 1
+        D = self._two_pairs(25)
+        X = np.zeros((6, 2))
+        X[:, 1] = D[:, 2]
+        Theta = np.zeros((6, 2))
+        Theta[2, 1] = 1.0
+        seed = 26
+        assert purge_duplicate_atoms(X, D, Theta, np.random.default_rng(seed)) == [3, 5]
+        draw = np.random.default_rng(seed).standard_normal(6)
+        assert np.array_equal(D[:, 3], draw / np.linalg.norm(draw))
+        assert_allclose(D[:, 5], X[:, 1], atol=1e-15)
+
 
 class TestKSVD:
     def test_smoke_single_iteration(self):

@@ -279,6 +279,28 @@ class TestRunSweep:
         statuses = [r["status"] for r in trial_records(sweep)]
         assert statuses.count("error:LinAlgError") == 1
 
+    def test_any_exception_recorded_as_failed_trial(self, monkeypatch):
+        cfg = tiny_config(solver="bp")
+        expected = trial_records(run_sweep(cfg))
+        calls = []
+
+        def flaky_bp(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("one bad solve")
+            return basis_pursuit(*args)
+
+        basis_pursuit = harness.basis_pursuit
+        monkeypatch.setattr(harness, "basis_pursuit", flaky_bp)
+        records = trial_records(run_sweep(cfg))
+        assert len(calls) == 2 * 4  # arms x trials: the sweep ran on
+        bad = records.pop(2)  # arm none, trial 2
+        assert (bad["optimizer_name"], bad["trial_index"]) == ("none", 2)
+        assert bad["status"] == "error:ValueError"
+        assert bad["relative_error"] == np.inf and not bad["success"]
+        del expected[2]
+        assert records == expected
+
     def test_cells_in_first_seen_order(self):
         sweep = run_sweep(tiny_config())
         assert [c.optimizer_name for c in sweep.cells[:2]] == ["none", "none"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dpotrf
 
 from incoproj import (
     RecoveryStatus,
@@ -66,6 +67,23 @@ class TestLP:
     def test_stopping_rule_leaves_room_for_the_bp_certificate(self):
         # basis_pursuit certifies at LP_TOL; the solver stops well inside it
         assert lp.TOL <= 0.01 * pursuit.LP_TOL
+
+    def test_singular_normal_matrix_factors_after_jitter(self):
+        # a rank-one PSD matrix has no plain Cholesky factor; the jitter gives one
+        v = np.array([1.0, 2.0, 3.0])
+        M = np.outer(v, v)
+        assert dpotrf(M, lower=1, clean=0)[1] != 0
+        x = lp._chol_solve_factory(M)(v)
+        assert np.all(np.isfinite(x))
+        assert_allclose(M @ x, v, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "M, message",
+        [(-np.eye(3), "not factorizable even with jitter"), (np.diag([1.0, np.nan, 1.0]), "non-finite")],
+    )
+    def test_unfactorizable_normal_matrix_rejected(self, M, message):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            lp._chol_solve_factory(M)
 
 
 class TestOMP:
