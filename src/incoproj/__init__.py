@@ -54,7 +54,6 @@ from .harness import (
 )
 from .linalg import (
     as_dictionary,
-    eigh_descending,
     gram,
     lsq_projection,
     normalize_columns,
@@ -104,7 +103,6 @@ __all__ = [
     "basis_pursuit",
     "coupled_ksvd",
     "derive_seed",
-    "eigh_descending",
     "elad_optimize",
     "emit_reports",
     "exhaustive_sparsest",

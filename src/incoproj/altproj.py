@@ -62,18 +62,15 @@ def recover_projection(G, D, m: int) -> np.ndarray:
     Raises
     ------
     RankExceeded
-        If G has numerical rank > m.
+        If G has numerical rank > m: the factor misses G by more than
+        1e-8 times G's largest eigenvalue (plus 1e-12) in Frobenius norm.
     NotPSD
         Propagated from the square-root factorization.
     """
     G = as_matrix(G, "gram")
-    k = G.shape[0]
-    if k > m:
-        w = np.linalg.eigvalsh(0.5 * (G + G.T))
-        lam_max = max(float(w[-1]), 0.0)
-        if float(w[k - m - 1]) > 1e-8 * lam_max + 1e-12:
-            raise RankExceeded(f"numerical rank exceeds {m}")
     S = sqrt_factor(G, m)
+    if np.linalg.norm(G - S.T @ S) > 1e-8 * float(S[0] @ S[0]) + 1e-12:
+        raise RankExceeded(f"numerical rank exceeds {m}")
     return lsq_projection(S, D)
 
 
@@ -99,13 +96,15 @@ def altproj_optimize(
     A = rng.standard_normal((k, k))
     G = 0.5 * (A + A.T)
     np.fill_diagonal(G, 1.0)
+    G_unit = G  # unit diagonal already: the start is its own normalized Gram
 
     max_off = np.empty(iterations)
     mu_t = np.empty(iterations)
     for q in range(iterations):
         G = project_convex(G, t)
         G = project_rank(G, m)
-        max_off[q], mu_t[q] = trace_coherence(normalize_gram(G), t)
+        G_unit = normalize_gram(G)
+        max_off[q], mu_t[q] = trace_coherence(G_unit, t)
 
-    P = recover_projection(normalize_gram(G), Dd, m)
+    P = recover_projection(G_unit, Dd, m)
     return P, Trace({"max_offdiag": max_off, "mu_t": mu_t})

@@ -15,7 +15,7 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import SingularSystem
 from .linalg import ZERO_TOL, as_matrix, normalize_columns
@@ -209,7 +209,8 @@ def coupled_ksvd(
     ------
     SingularSystem
         If lam^2 I + P.T @ P is numerically singular (lam = 0 with a
-        rank-deficient P).
+        rank-deficient P): its Cholesky factorization fails, or LAPACK's
+        estimate of its reciprocal 1-norm condition number is at most 1e-12.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must be in [0, 1]")
@@ -227,9 +228,8 @@ def coupled_ksvd(
         P = design(inner, D, m)[0]
 
         M = lam * lam * np.eye(n) + P.T @ P
-        w = np.linalg.eigvalsh(M)
         L, info = dpotrf(M, lower=1, clean=0)
-        if info or w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
+        if info or dpocon(L, np.linalg.norm(M, 1), uplo="L")[0] <= 1e-12:
             raise SingularSystem("lam^2 I + P.T P is numerically singular")
 
         W = np.vstack([lam * np.eye(n), P])

@@ -1,7 +1,7 @@
 """Dense linear-algebra primitives shared by the projection optimizers.
 
 Everything here operates on plain float64 ``numpy`` arrays.  Symmetric
-eigendecompositions go through :func:`eigh_descending`, which fixes the
+eigendecompositions go through :func:`top_eigh`, which fixes the
 eigenvector sign convention so that repeated runs (and repeated calls on
 the same data) produce bit-identical results.
 """
@@ -85,39 +85,24 @@ def gram(M) -> np.ndarray:
     return G
 
 
-def eigh_descending(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix with a fixed convention.
+def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest-``m`` eigenpairs of a symmetric matrix with a fixed convention.
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted non-increasing and
     each eigenvector's first nonzero component made positive.  The input
-    is symmetrized before factorization.
+    is symmetrized before factorization; ``m`` at or above its order gives
+    the full decomposition.
     """
-    A = 0.5 * (A + A.T)
-    w, V = np.linalg.eigh(A)
-    w = w[::-1]
-    V = V[:, ::-1]
-    return w, _fix_signs(V)
-
-
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first nonzero entry is positive."""
-    V = np.array(V)
-    first = np.argmax(V != 0.0, axis=0)
-    lead = V[first, np.arange(V.shape[1])]
-    V[:, lead < 0] *= -1.0
-    return V
-
-
-def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest-``m`` eigenpairs of a symmetric matrix, descending, sign-fixed."""
     A = 0.5 * (A + A.T)
     k = A.shape[0]
     if m >= k:
-        return eigh_descending(A)
-    w, V = scipy.linalg.eigh(A, subset_by_index=(k - m, k - 1))
-    w = w[::-1]
-    V = V[:, ::-1]
-    return w, _fix_signs(V)
+        w, V = np.linalg.eigh(A)
+    else:
+        w, V = scipy.linalg.eigh(A, subset_by_index=(k - m, k - 1))
+    V = np.array(V[:, ::-1])
+    first = np.argmax(V != 0.0, axis=0)
+    V[:, V[first, np.arange(V.shape[1])] < 0] *= -1.0
+    return w[::-1], V
 
 
 def _checked_top_eigh(G, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -55,10 +55,7 @@ def _chol_solve_factory(M: np.ndarray):
 
 def _step_length(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha with v + alpha*dv >= 0 (inf when dv never decreases v)."""
-    neg = dv < 0.0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    return float(np.min(np.divide(-v, dv, out=np.full(v.shape, np.inf), where=dv < 0.0)))
 
 
 def solve_standard_lp(c, A, b) -> LPResult:

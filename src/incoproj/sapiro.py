@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .linalg import as_matrix, eigh_descending, top_eigh
+from .linalg import as_matrix, top_eigh
 from .matrixio import Trace
 
 # Eigenvalues at or below this fraction of the largest count as zero.
@@ -54,7 +54,7 @@ def sapiro_optimize(D, m: int, seed: int) -> tuple[np.ndarray, Trace]:
     n = Dd.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} not in [1, {n}]")
-    lam, V = eigh_descending(Dd @ Dd.T)
+    lam, V = top_eigh(Dd @ Dd.T, n)
     lam = np.clip(lam, 0.0, None)
     if lam[0] <= 1e-12:
         raise DegenerateSpectrum("all eigenvalues of D @ D.T are numerically zero")

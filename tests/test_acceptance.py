@@ -284,8 +284,9 @@ def test_06b_benchmark_ordering_bp(desk_sweep):
     # shrinkage budgets, at least one optimized arm exceeds the random
     # baseline at 2+ sparsity levels or by > 2 points under l1 recovery
     # (whereas the matching OMP check passes on 14 of those 15 seeds).
-    # Every failing solve is a certified-converged LP, i.e. the l1
-    # minimizer genuinely moves away from the planted support when the
+    # All but 6 of the 4,090 failing BP solves are certified-converged
+    # LPs (those 6 end at the LP iteration cap, status max_iter), i.e. the
+    # l1 minimizer genuinely moves away from the planted support when the
     # optimizers compress the Gram spectrum at this aggressive
     # undersampling (12 rows for 100 atoms).  OMP enjoys the coherence
     # reduction; BP does not.

@@ -84,6 +84,12 @@ class TestRecoverProjection:
         with pytest.raises(RankExceeded):
             recover_projection(G, D, 4)
 
+    def test_rank_exceeded_by_negative_tail(self):
+        # rank 3 with a negative third eigenvalue: a rank-2 factor misses it
+        D = gaussian_dictionary(4, 3, 5)
+        with pytest.raises(RankExceeded):
+            recover_projection(np.diag([3.0, 2.0, -1.0]), D, 2)
+
 
 class TestOptimize:
     def test_trace_and_output_shapes(self):

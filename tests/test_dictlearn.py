@@ -352,6 +352,11 @@ class TestCoupledKSVD:
         P = rng.standard_normal((8, 20))
         with pytest.raises(SingularSystem):
             coupled_ksvd(X, Y, 40, 3, 2, 0, lam=0.0, inner=Arm("fixed", {"P": P}))
+        # lam^2 = 1e-14 leaves the system past the conditioning bound;
+        # lam^2 = 1e-6 brings it back within
+        with pytest.raises(SingularSystem):
+            coupled_ksvd(X, Y, 40, 3, 2, 0, lam=1e-7, inner=Arm("fixed", {"P": P}))
+        coupled_ksvd(X, Y, 40, 3, 2, 0, lam=1e-3, inner=Arm("fixed", {"P": P}))
 
     def test_monitor_combined_objective_not_monotone(self):
         # run-and-monitor configuration.  The projection refresh targets

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +10,6 @@ from incoproj.linalg import (
     as_dictionary,
     as_matrix,
     column_norms,
-    eigh_descending,
     gram,
     lsq_projection,
     normalize_columns,
@@ -83,8 +85,9 @@ class TestEigh:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((9, 9))
         G = A @ A.T
-        w, V = eigh_descending(G)
+        w, V = top_eigh(G, 9)
         assert np.all(np.diff(w) <= 1e-12)
+        assert_allclose(w, np.linalg.eigvalsh(G)[::-1], atol=1e-10)
         assert_allclose(V @ np.diag(w) @ V.T, G, atol=1e-10)
         assert_allclose(V.T @ V, np.eye(9), atol=1e-12)
 
@@ -92,23 +95,44 @@ class TestEigh:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((6, 6))
         G = A @ A.T
-        _, V = eigh_descending(G)
-        for j in range(6):
-            col = V[:, j]
-            nz = col[np.abs(col) > 1e-12]
-            assert nz[0] > 0
+        for m in (2, 6):  # the subset solver and the full one
+            _, V = top_eigh(G, m)
+            for j in range(m):
+                col = V[:, j]
+                nz = col[np.abs(col) > 1e-12]
+                assert nz[0] > 0
 
     def test_top_eigh_matches_full(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((10, 10))
         G = A @ A.T
-        w_full, V_full = eigh_descending(G)
+        w_full, V_full = top_eigh(G, 10)
         for m in (1, 3, 10):
             w, V = top_eigh(G, m)
             assert_allclose(w, w_full[:m], atol=1e-10)
             # eigenvectors may differ by sign convention only on degenerate
             # spectra; random G has simple spectrum so compare directly
             assert_allclose(V, V_full[:, :m], atol=1e-8)
+
+    def test_top_eigh_is_the_only_eigensolver(self):
+        # Every symmetric eigendecomposition in the package goes through
+        # top_eigh, so each one gets the same ordering and sign convention.
+        solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
+        offenders = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "incoproj").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            inside = set()
+            if path.name == "linalg.py":
+                for fn in ast.walk(tree):
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "top_eigh":
+                        inside.update(ast.walk(fn))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and node not in inside:
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name in solvers:
+                        offenders.append(f"{path.name}:{node.lineno} {name}")
+        assert offenders == []
 
 
 class TestRankTruncate:
@@ -124,7 +148,7 @@ class TestRankTruncate:
         rng = np.random.default_rng(6)
         A = rng.standard_normal((7, 7))
         G = A @ A.T
-        w, V = eigh_descending(G)
+        w, V = top_eigh(G, 7)
         for m in (1, 2, 5):
             T = symmetric_rank_truncate(G, m)
             best = (V[:, :m] * w[:m]) @ V[:, :m].T

@@ -3,19 +3,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
-    eigh_descending,
     normalize_columns,
     sapiro_objective,
     sapiro_optimize,
 )
 from incoproj.errors import DegenerateSpectrum
+from incoproj.linalg import top_eigh
 
 from synthetic import gaussian_dictionary
 
 
 def spectrum(D):
     """The clamped eigenvalues and eigenvectors of D Dᵀ that sapiro_optimize works in."""
-    lam, V = eigh_descending(D @ D.T)
+    lam, V = top_eigh(D @ D.T, D.shape[0])
     return np.clip(lam, 0.0, None), V
 
 
