@@ -4,30 +4,14 @@ Three projection optimizers (Gram shrinkage, spectral rank-one updates,
 alternating projections), coherence diagnostics, sparse-recovery solvers
 (OMP, Basis Pursuit on a built-in LP), K-SVD / coupled dictionary
 learning, and a reproducible benchmark harness.
+
+The package root exports entry points only; an optimizer runs through
+``design(Arm(name, params), D, m)``, and its steps stay importable from
+their modules.
 """
 
-from .altproj import (
-    altproj_optimize,
-    normalize_gram,
-    project_convex,
-    project_rank,
-    recover_projection,
-)
-from .coherence import (
-    mutual_coherence,
-    offdiag_histogram,
-    offdiag_magnitudes,
-    relative_threshold,
-    t_average_coherence,
-)
-from .dictlearn import (
-    atom_update_sweep,
-    purge_duplicate_atoms,
-    coupled_ksvd,
-    ksvd,
-    sparse_code,
-)
-from .elad import elad_optimize, shrink_elad
+from .coherence import mutual_coherence, offdiag_histogram, t_average_coherence
+from .dictlearn import coupled_ksvd, ksvd, sparse_code
 from .errors import (
     ConfigError,
     DegenerateDiagonal,
@@ -52,17 +36,9 @@ from .harness import (
     run_sweep,
     synthesize_signals,
 )
-from .linalg import (
-    as_dictionary,
-    gram,
-    lsq_projection,
-    normalize_columns,
-    sqrt_factor,
-    symmetric_rank_truncate,
-)
-from .lp import LPResult, solve_standard_lp
+from .linalg import as_dictionary, gram, normalize_columns
 from .matrixio import Trace
-from .optimizers import Arm
+from .optimizers import Arm, design
 from .pursuit import (
     RecoveryResult,
     RecoveryStatus,
@@ -70,7 +46,6 @@ from .pursuit import (
     exhaustive_sparsest,
     omp,
 )
-from .sapiro import sapiro_objective, sapiro_optimize
 
 __version__ = "0.1.0"
 
@@ -84,7 +59,6 @@ __all__ = [
     "ExperimentConfig",
     "IncoprojError",
     "InvalidRank",
-    "LPResult",
     "NotFound",
     "NotPSD",
     "RankExceeded",
@@ -96,37 +70,21 @@ __all__ = [
     "TooLarge",
     "Trace",
     "ZeroColumn",
-    "altproj_optimize",
     "as_dictionary",
-    "atom_update_sweep",
-    "purge_duplicate_atoms",
     "basis_pursuit",
     "coupled_ksvd",
     "derive_seed",
-    "elad_optimize",
+    "design",
     "emit_reports",
     "exhaustive_sparsest",
     "gram",
     "ksvd",
-    "lsq_projection",
     "mutual_coherence",
     "normalize_columns",
-    "normalize_gram",
     "offdiag_histogram",
-    "offdiag_magnitudes",
     "omp",
-    "project_convex",
-    "project_rank",
-    "recover_projection",
-    "relative_threshold",
     "run_sweep",
-    "sapiro_objective",
-    "sapiro_optimize",
-    "shrink_elad",
-    "solve_standard_lp",
     "sparse_code",
-    "sqrt_factor",
-    "symmetric_rank_truncate",
     "synthesize_signals",
     "t_average_coherence",
 ]

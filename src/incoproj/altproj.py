@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDiagonal, RankExceeded
-from .coherence import trace_coherence
+from .coherence import offdiag_magnitudes, trace_coherence
 from .linalg import as_matrix, lsq_projection, sqrt_factor, symmetric_rank_truncate
 from .matrixio import Trace
 
@@ -82,16 +82,12 @@ def altproj_optimize(
     Returns the recovered m-row projection matrix and a per-iteration
     trace of the normalized working Gram's max off-diagonal magnitude and
     its mu_t at t (NaN when nothing exceeds t).  The registry's
-    ``altproj`` entry holds the keys' allowed ranges.
+    ``altproj`` entry holds the keys' allowed ranges and
+    :func:`~incoproj.optimizers.design` checks D and m.
     """
-    Dd = as_matrix(D, "dictionary")
-    k = Dd.shape[1]
+    k = D.shape[1]
     if k < 2:
         raise ValueError("need at least two atoms to optimize coherence")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > k:
-        raise ValueError(f"m={m} exceeds atom count k={k}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((k, k))
     G = 0.5 * (A + A.T)
@@ -104,7 +100,7 @@ def altproj_optimize(
         G = project_convex(G, t)
         G = project_rank(G, m)
         G_unit = normalize_gram(G)
-        max_off[q], mu_t[q] = trace_coherence(G_unit, t)
+        max_off[q], mu_t[q] = trace_coherence(offdiag_magnitudes(G_unit), t)
 
-    P = recover_projection(G_unit, Dd, m)
+    P = recover_projection(G_unit, D, m)
     return P, Trace({"max_offdiag": max_off, "mu_t": mu_t})

@@ -19,16 +19,19 @@ from .errors import ConfigError, EmptyAverage, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, load_dictionary, run_sweep
 from .linalg import gram, set_blas_threads
 from .matrixio import read_matrix, write_histogram, write_matrix
-from .optimizers import OPTIMIZERS, Arm, design
+from .optimizers import DEFAULT_T, OPTIMIZERS, Arm, design
 
 PAPER_SCALE = dict(n=200, k=400, m=30, N=10000, S_range=tuple(range(1, 11)))
 
 
 def _arm(name: str, args, **flags) -> Arm:
-    """Arm for optimizer ``name`` from the shared flags plus ``flags``, keeping only its keys."""
-    values = dict(mode=args.mode, t=args.t, percent=args.percent, gamma=args.gamma, **flags)
+    """Arm for optimizer ``name`` from the shared flags that were set plus ``flags``.
+
+    Only ``name``'s keys are kept; the registry fills in the rest.
+    """
+    values = {**{flag: getattr(args, flag) for flag in _OPTIMIZER_FLAGS}, **flags}
     keys = [key.name for key in OPTIMIZERS[name].keys]
-    return Arm(name, {key: values[key] for key in keys if key in values})
+    return Arm(name, {key: values[key] for key in keys if values.get(key) is not None})
 
 
 def _cmd_design(args) -> int:
@@ -48,12 +51,13 @@ def _cmd_design(args) -> int:
     write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
     G = gram(P @ D)
     mu, _ = mutual_coherence(G)
+    t = DEFAULT_T if args.t is None else args.t
     try:
-        mu_t = repr(t_average_coherence(G, args.t))
+        mu_t = repr(t_average_coherence(G, t))
     except EmptyAverage:
         mu_t = "n/a"
     write_histogram(os.path.join(args.out_dir, "gram_hist.csv"), offdiag_histogram(G, args.bins))
-    print(f"method={args.method} mu={mu!r} mu_t[{args.t!r}]={mu_t}")
+    print(f"method={args.method} mu={mu!r} mu_t[{t!r}]={mu_t}")
     return 0
 
 
@@ -115,12 +119,16 @@ def _cmd_coupled(args) -> int:
     return 0
 
 
+# The elad/altproj flags that ``design`` and ``coupled`` share.  An unset
+# flag leaves its key to the registry default.
+_OPTIMIZER_FLAGS = ("mode", "t", "percent", "gamma")
+
+
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    """The elad/altproj flags that ``design`` and ``coupled`` share."""
-    p.add_argument("--mode", choices=["fixed", "relative"], default="relative")
-    p.add_argument("--t", type=float, default=0.26, help="threshold (fixed mode / altproj)")
-    p.add_argument("--percent", type=float, default=26.0, help="relative-mode percentile")
-    p.add_argument("--gamma", type=float, default=0.6)
+    p.add_argument("--mode", choices=["fixed", "relative"], help="elad threshold mode")
+    p.add_argument("--t", type=float, help=f"threshold (fixed mode / altproj; default {DEFAULT_T})")
+    p.add_argument("--percent", type=float, help="relative-mode percentile")
+    p.add_argument("--gamma", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,10 @@ These are the objectives and diagnostics the projection optimizers drive
 down.  Every statistic takes a Gram matrix, the output of
 :func:`~incoproj.linalg.gram` (so ``mutual_coherence(gram(P @ D))`` is the
 coherence of the effective dictionary), and is computed over its strict
-upper triangle; the symmetric lower half is redundant.
+upper triangle; the symmetric lower half is redundant.  The optimizers'
+helpers :func:`trace_coherence` and :func:`relative_threshold` take that
+triangle's :func:`offdiag_magnitudes` instead, so one extraction per Gram
+serves both.
 """
 
 from __future__ import annotations
@@ -73,28 +76,28 @@ def t_average_coherence(G, t: float) -> float:
     return mu_t
 
 
-def trace_coherence(G: np.ndarray, t: float) -> tuple[float, float]:
-    """One optimizer trace row from one pass over the Gram ``G``.
+def trace_coherence(mags: np.ndarray, t: float) -> tuple[float, float]:
+    """One optimizer trace row from a Gram's :func:`offdiag_magnitudes`.
 
     Returns the largest off-diagonal magnitude, unclipped, and the
     :func:`t_average_coherence` at ``t``, NaN where no magnitude exceeds it.
     """
-    mags = offdiag_magnitudes(G)
     return float(mags.max()), _mean_above(mags, t)
 
 
-def relative_threshold(G, percent: float) -> float:
-    """Threshold ``t`` such that ~``percent``% of off-diagonal magnitudes lie strictly above it.
+def relative_threshold(mags: np.ndarray, percent: float) -> float:
+    """Threshold ``t`` such that ~``percent``% of the magnitudes ``mags`` lie strictly above it.
 
-    With the magnitudes sorted in decreasing order, the target count is
+    ``mags`` is a Gram's :func:`offdiag_magnitudes`, which elad's relative
+    mode also feeds to :func:`trace_coherence`.  With the magnitudes
+    sorted in decreasing order, the target count is
     ``c = ceil(percent/100 * count)`` and ``t`` is the ``(c+1)``-th largest
     magnitude (0 if that runs off the end).  Ties at ``t`` leave fewer
     than ``c`` magnitudes strictly above it.
     """
     if not 0.0 < percent < 100.0:
         raise ValueError("percent must be in (0, 100)")
-    G = _checked_gram(G, "relative threshold")
-    mags = np.sort(offdiag_magnitudes(G))[::-1]
+    mags = np.sort(mags)[::-1]
     c = int(np.ceil(percent / 100.0 * mags.size))
     return float(mags[c]) if c < mags.size else 0.0
 

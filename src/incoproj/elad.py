@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroColumn
-from .linalg import (
-    as_matrix,
-    gram,
-    sqrt_factor,
-    symmetric_rank_truncate,
-)
+from .linalg import gram, sqrt_factor, symmetric_rank_truncate
 from .coherence import offdiag_magnitudes, relative_threshold, trace_coherence
 from .matrixio import Trace
 
@@ -45,10 +40,10 @@ def _shrink_offdiag(G: np.ndarray, t: float, gamma: float) -> np.ndarray:
     return out
 
 
-def _effective_gram(P: np.ndarray, Dd: np.ndarray, q: int) -> np.ndarray:
+def _effective_gram(P: np.ndarray, D: np.ndarray, q: int) -> np.ndarray:
     """Gram of the normalized columns of P @ D; ZeroColumn names iteration q."""
     try:
-        return gram(P @ Dd)
+        return gram(P @ D)
     except ZeroColumn as exc:
         raise ZeroColumn(exc.index, f"effective dictionary at iteration {q}") from exc
 
@@ -64,7 +59,8 @@ def elad_optimize(
     that about ``percent``% of its magnitudes lie above it), shrink the
     off-diagonals by ``gamma``, truncate to rank m, take the m-row square
     root, and solve the least-squares problem for the next P.  The
-    registry's ``elad`` entry holds the keys' allowed ranges.
+    registry's ``elad`` entry holds the keys' allowed ranges and
+    :func:`~incoproj.optimizers.design` checks D and m.
 
     The trace records, for every iteration, the threshold used and the
     mu_t / mu of the updated effective dictionary at that threshold;
@@ -76,41 +72,35 @@ def elad_optimize(
         If P @ D develops a numerically zero column (degenerate P); the
         error message carries the iteration index.
     """
-    Dd = as_matrix(D, "dictionary")
-    n = Dd.shape[0]
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > n:
-        raise ValueError(f"m={m} exceeds signal dimension n={n}")
-    if Dd.shape[1] < 2:
+    n = D.shape[0]
+    if D.shape[1] < 2:
         raise ValueError("need at least two atoms to optimize coherence")
-    if mode not in ("fixed", "relative"):
-        raise ValueError(f"mode {mode!r} not 'fixed' or 'relative'")
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((m, n))
     # D never changes, so every least-squares refit shares its pseudo-inverse.
-    Dpinv = np.linalg.pinv(Dd)
+    Dpinv = np.linalg.pinv(D)
 
-    G = _effective_gram(P, Dd, 0)
+    G = _effective_gram(P, D, 0)
+    mags = offdiag_magnitudes(G)
     mu_t_hist: list[float] = []
     mu_hist: list[float] = []
     thr_hist: list[float] = []
     for q in range(iterations):
         if mode == "relative":
-            t = relative_threshold(G, percent)
+            t = relative_threshold(mags, percent)
             if t <= 0.0:
                 # Order statistic ran off the end; fall back to the smallest
                 # magnitude so the shrink still has a valid positive t.
-                mags = offdiag_magnitudes(G)
                 t = max(float(mags.min()), 1e-12)
         shrunk = _shrink_offdiag(G, t, gamma)
         reduced = symmetric_rank_truncate(shrunk, m)
         S = sqrt_factor(reduced, m)
         P = S @ Dpinv
 
-        # The updated Gram is also the next iteration's starting Gram.
-        G = _effective_gram(P, Dd, q)
-        mu, mu_t = trace_coherence(G, t)
+        # The updated Gram, and its magnitudes, start the next iteration.
+        G = _effective_gram(P, D, q)
+        mags = offdiag_magnitudes(G)
+        mu, mu_t = trace_coherence(mags, t)
         mu_t_hist.append(mu_t)
         mu_hist.append(min(mu, 1.0))
         thr_hist.append(float(t))

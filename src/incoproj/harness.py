@@ -216,7 +216,7 @@ def load_dictionary(source: str, shape: tuple[int, int] | None = None) -> np.nda
 
 def arm_projection(arm: Arm, D, m: int) -> np.ndarray:
     """Materialize the m-row projection matrix for one benchmark arm."""
-    return design(arm, as_matrix(D, "dictionary"), m)[0]
+    return design(arm, D, m)[0]
 
 
 def synthesize_signals(D, S: int, N: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:

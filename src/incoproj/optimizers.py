@@ -114,13 +114,22 @@ def lookup(name: str, among: tuple[str, ...] | None = None) -> Optimizer:
 
 
 def design(arm: Arm, D, m: int):
-    """Run ``arm``'s optimizer on dictionary D for an m-row projection; returns (P, trace)."""
+    """Run ``arm``'s optimizer on dictionary D for an m-row projection; returns (P, trace).
+
+    The one place an optimizer's arguments are checked: D must be a
+    finite 2-D matrix and ``m`` an integer in ``[1, n]``, since a
+    projection has at most n rows.
+    """
     unset = [key for key, value in arm.params.items() if value is None]
     if unset:
         raise ConfigError(
             f"{arm.name} arm has no {', '.join(unset)}; set it"
             " (an ExperimentConfig derives unset seeds from its master seed)"
         )
+    D = as_matrix(D, "dictionary")
+    n = D.shape[0]
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
+        raise ValueError(f"m={m!r} must be an integer in [1, n={n}]: a projection has at most n rows")
     return OPTIMIZERS[arm.name].design(D, m, **arm.params)
 
 
@@ -140,6 +149,10 @@ def _fixed(D, m, *, P):
 
 _SEED = Key("seed", int)
 
+# The threshold elad's fixed mode and altproj default to; `incoproj design`
+# also reports mu_t at it when --t is unset.
+DEFAULT_T = 0.26
+
 OPTIMIZERS: dict[str, Optimizer] = {
     entry.name: entry
     for entry in (
@@ -149,7 +162,7 @@ OPTIMIZERS: dict[str, Optimizer] = {
             "elad",
             (
                 Key("mode", str, "relative", choices=("fixed", "relative")),
-                Key("t", float, 0.26, when=("mode", "fixed"), bounds=(0, 1)),
+                Key("t", float, DEFAULT_T, when=("mode", "fixed"), bounds=(0, 1)),
                 Key("percent", float, 26.0, when=("mode", "relative"), bounds=(0, 100)),
                 Key("gamma", float, 0.6, bounds=(0, 1)),
                 Key("iterations", int, 50, bounds=(0, math.inf)),
@@ -161,7 +174,7 @@ OPTIMIZERS: dict[str, Optimizer] = {
         Optimizer(
             "altproj",
             (
-                Key("t", float, 0.26, bounds=(0, 1)),
+                Key("t", float, DEFAULT_T, bounds=(0, 1)),
                 Key("iterations", int, 300, bounds=(0, math.inf)),
                 _SEED,
             ),

@@ -43,18 +43,16 @@ def sapiro_optimize(D, m: int, seed: int) -> tuple[np.ndarray, Trace]:
     0, and those at or below ``RANK_TOL`` times the largest set to 0
     exactly; Γ starts as P₀ V for a seeded Gaussian m x n draw P₀.  The
     trace's ``objective`` column holds the objective after each of the m
-    updates, indexed by ``step``.
+    updates, indexed by ``step``.  :func:`~incoproj.optimizers.design`
+    checks D and m.
 
     Raises
     ------
     DegenerateSpectrum
         If every eigenvalue of D Dᵀ is numerically zero.
     """
-    Dd = as_matrix(D, "dictionary")
-    n = Dd.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} not in [1, {n}]")
-    lam, V = top_eigh(Dd @ Dd.T, n)
+    n = D.shape[0]
+    lam, V = top_eigh(D @ D.T, n)
     lam = np.clip(lam, 0.0, None)
     if lam[0] <= 1e-12:
         raise DegenerateSpectrum("all eigenvalues of D @ D.T are numerically zero")

@@ -12,19 +12,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from incoproj import (
-    altproj_optimize,
     basis_pursuit,
-    elad_optimize,
     exhaustive_sparsest,
     gram,
     ksvd,
     mutual_coherence,
     normalize_columns,
     omp,
-    project_convex,
-    sapiro_optimize,
-    shrink_elad,
 )
+from incoproj.altproj import altproj_optimize, project_convex
+from incoproj.elad import elad_optimize, shrink_elad
+from incoproj.sapiro import sapiro_optimize
 from incoproj.harness import ExperimentConfig, run_sweep
 from incoproj.optimizers import Arm
 from incoproj.cli import main

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from incoproj import (
-    Trace,
+from incoproj import Trace, gram, normalize_columns
+from incoproj.altproj import (
     altproj_optimize,
-    gram,
-    normalize_columns,
     normalize_gram,
     project_convex,
     project_rank,
@@ -113,11 +111,6 @@ class TestOptimize:
         P2, t2 = altproj_optimize(D, 4, **params)
         assert np.asarray(P1).tobytes() == np.asarray(P2).tobytes()
         assert t1.max_offdiag.tobytes() == t2.max_offdiag.tobytes()
-
-    def test_m_bounds(self):
-        D = gaussian_dictionary(6, 8, 8)
-        with pytest.raises(ValueError):
-            altproj_optimize(D, 9, t=0.4, iterations=5, seed=0)
 
     def test_trace_csv_layout(self, tmp_path):
         D = gaussian_dictionary(8, 12, 9)

@@ -7,11 +7,9 @@ from incoproj import (
     mutual_coherence,
     normalize_columns,
     offdiag_histogram,
-    offdiag_magnitudes,
-    relative_threshold,
     t_average_coherence,
 )
-from incoproj.coherence import trace_coherence
+from incoproj.coherence import offdiag_magnitudes, relative_threshold, trace_coherence
 from incoproj.errors import EmptyAverage, TooFewColumns
 
 
@@ -117,25 +115,25 @@ class TestRelativeThreshold:
     def test_order_statistic_hand_example(self):
         # magnitudes {0.9, 0.5, 0.1}: asking for 33.4% of 3 pairs means
         # ceil(1.002) = 2 strictly above, so the threshold is 0.1
-        G = gram_with_offdiags([0.9, 0.5, 0.1])
-        t = relative_threshold(G, 33.4)
+        mags = offdiag_magnitudes(gram_with_offdiags([0.9, 0.5, 0.1]))
+        t = relative_threshold(mags, 33.4)
         assert_allclose(t, 0.1, atol=0)
-        assert int(np.sum(offdiag_magnitudes(G) > t)) == 2
+        assert int(np.sum(mags > t)) == 2
 
     def test_tie_degeneracy_flagged(self):
-        G = gram_with_offdiags([0.7, 0.7, 0.7])
-        t = relative_threshold(G, 50.0)
+        mags = offdiag_magnitudes(gram_with_offdiags([0.7, 0.7, 0.7]))
+        t = relative_threshold(mags, 50.0)
         # order statistic lands inside a tie run: nothing lies strictly
         # above it, although the target count is 2
         assert t == 0.7
-        assert not np.any(offdiag_magnitudes(G) > t)
+        assert not np.any(mags > t)
 
     def test_percent_bounds(self):
-        G = gram_with_offdiags([0.5, 0.3, 0.2])
+        mags = offdiag_magnitudes(gram_with_offdiags([0.5, 0.3, 0.2]))
         with pytest.raises(ValueError):
-            relative_threshold(G, 0.0)
+            relative_threshold(mags, 0.0)
         with pytest.raises(ValueError):
-            relative_threshold(G, 100.0)
+            relative_threshold(mags, 100.0)
 
     def test_count_above_matches_request(self):
         rng = np.random.default_rng(17)
@@ -144,7 +142,7 @@ class TestRelativeThreshold:
             G = gram(D)
             mags = offdiag_magnitudes(G)
             pct = float(rng.uniform(5, 95))
-            t = relative_threshold(G, pct)
+            t = relative_threshold(mags, pct)
             want = int(np.ceil(pct / 100.0 * mags.size))
             got = int(np.sum(mags > t))
             tied = np.sum(mags == t) > 1
@@ -152,8 +150,8 @@ class TestRelativeThreshold:
                 assert got == want
 
     def test_rank_off_the_end_gives_zero(self):
-        G = gram_with_offdiags([0.9, 0.5, 0.1])
-        t = relative_threshold(G, 99.9)  # ceil(2.997) = 3 = population
+        mags = offdiag_magnitudes(gram_with_offdiags([0.9, 0.5, 0.1]))
+        t = relative_threshold(mags, 99.9)  # ceil(2.997) = 3 = population
         assert t == 0.0
 
 
@@ -188,7 +186,8 @@ class TestHistogramAndReport:
 
     def test_trace_row_matches_the_statistics(self):
         G = gram(np.random.default_rng(4).standard_normal((5, 9)))
-        mu, mu_t = trace_coherence(G, 0.3)
+        mags = offdiag_magnitudes(G)
+        mu, mu_t = trace_coherence(mags, 0.3)
         assert mu == mutual_coherence(G)[0]
         assert mu_t == t_average_coherence(G, 0.3)
-        assert np.isnan(trace_coherence(G, mu)[1])
+        assert np.isnan(trace_coherence(mags, mu)[1])

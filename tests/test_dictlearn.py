@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from incoproj import (
-    Arm,
-    atom_update_sweep,
-    coupled_ksvd,
-    ksvd,
-    normalize_columns,
-    purge_duplicate_atoms,
-    sparse_code,
-)
+from incoproj import Arm, coupled_ksvd, ksvd, normalize_columns, sparse_code
 from incoproj import dictlearn
+from incoproj.dictlearn import atom_update_sweep, purge_duplicate_atoms
 from incoproj.errors import SingularSystem
 
 from synthetic import incoherent_frame, planted_signals

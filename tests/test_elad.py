@@ -3,12 +3,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from incoproj import (
-    elad_optimize,
-    gram,
-    shrink_elad,
-    t_average_coherence,
-)
+from incoproj import gram, t_average_coherence
+from incoproj.elad import elad_optimize, shrink_elad
 
 from synthetic import gaussian_dictionary
 
@@ -85,11 +81,6 @@ class TestOptimize:
         P2, t2 = elad_optimize(D, 4, **params)
         assert np.asarray(P1).tobytes() == np.asarray(P2).tobytes()
         assert t1.mu_t.tobytes() == t2.mu_t.tobytes()
-
-    def test_m_bounds_enforced(self):
-        D = gaussian_dictionary(6, 12, 5)
-        with pytest.raises(ValueError):
-            elad_optimize(D, 7, mode="fixed", t=0.5, gamma=0.6, iterations=2, seed=0)
 
     def test_trace_csv_layout(self, tmp_path):
         D = gaussian_dictionary(8, 16, 6)

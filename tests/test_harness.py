@@ -553,6 +553,30 @@ class TestCLI:
         )
         assert not (tmp_path / "out" / "projection.csv").exists()
 
+    def test_design_rejects_more_rows_than_n(self, tmp_path, capsys):
+        rc = main(["design", "--method", "altproj", "--n", "6", "--k", "8", "--m", "7",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: m=7 must be an integer in [1, n=6]: a projection has at most n rows\n"
+        )
+        assert not (tmp_path / "projection.csv").exists()
+
+    @pytest.mark.parametrize("method, kept, defaults", [
+        ("elad", [], ["--mode", "relative", "--percent", "26", "--gamma", "0.6"]),
+        ("elad", ["--mode", "fixed"], ["--t", "0.26", "--gamma", "0.6"]),
+        ("altproj", [], ["--t", "0.26"]),
+    ])
+    def test_unset_optimizer_flags_take_registry_defaults(self, tmp_path, capsys, method, kept, defaults):
+        common = ["design", "--method", method, "--n", "8", "--k", "12", "--m", "4",
+                  "--iterations", "3"] + kept
+        assert main(common + defaults + ["--out-dir", str(tmp_path / "set")]) == 0
+        assert main(common + ["--out-dir", str(tmp_path / "unset")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == lines[1]
+        for name in ("projection.csv", "trace.csv", "gram_hist.csv"):
+            assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
+
     def test_zero_atom_dictionary_rejected(self, tmp_path, capsys):
         D = np.random.default_rng(5).standard_normal((6, 12))  # the config's n x k
         D[:, 3] = 0.0

@@ -134,6 +134,27 @@ class TestDesign:
         with pytest.raises(ConfigError):
             design(Arm("fixed"), dictionary(), 4)
 
+    # Small settings for every entry but fixed, whose arm carries its P.
+    SMALL = {
+        "none": {"seed": 0},
+        "elad": {"iterations": 2, "seed": 0},
+        "sapiro": {"seed": 0},
+        "altproj": {"iterations": 2, "seed": 0},
+    }
+
+    @pytest.mark.parametrize("name", list(OPTIMIZERS))
+    def test_m_must_be_an_integer_in_1_to_n(self, name):
+        D = dictionary()  # n = 8 < k = 16, so m = 9 is within altproj's k
+
+        def arm(m):
+            return Arm("fixed", {"P": np.ones((int(m), 8))}) if name == "fixed" else Arm(name, self.SMALL[name])
+
+        for m in (0, 9, 2.5):
+            message = rf"^m={m!r} must be an integer in \[1, n=8\]: a projection has at most n rows$"
+            with pytest.raises(ValueError, match=message):
+                design(arm(m), D, m)
+        assert design(arm(8), D, 8)[0].shape == (8, 8)
+
     def test_fixed_checks_shape(self):
         P = np.ones((4, 8))
         assert np.array_equal(design(Arm("fixed", {"P": P}), dictionary(), 4)[0], P)

@@ -12,7 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from incoproj import project_convex, shrink_elad
+from incoproj.altproj import project_convex
+from incoproj.elad import shrink_elad
 
 UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 ENTRIES = st.floats(-3.0, 3.0)

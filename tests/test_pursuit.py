@@ -11,9 +11,9 @@ from incoproj import (
     mutual_coherence,
     normalize_columns,
     omp,
-    solve_standard_lp,
 )
 from incoproj import lp, pursuit
+from incoproj.lp import solve_standard_lp
 from incoproj.errors import TooLarge, ZeroColumn
 
 from synthetic import gaussian_dictionary, incoherent_frame, planted_signals

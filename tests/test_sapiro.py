@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from incoproj import (
-    normalize_columns,
-    sapiro_objective,
-    sapiro_optimize,
-)
+from incoproj import normalize_columns
+from incoproj.sapiro import sapiro_objective, sapiro_optimize
 from incoproj.errors import DegenerateSpectrum
 from incoproj.linalg import top_eigh
 
@@ -84,8 +81,3 @@ class TestOptimize:
         lam, V = spectrum(D)
         val = sapiro_objective(lam, P @ V)
         assert_allclose(val, trace.objective[-1], rtol=1e-10, atol=1e-12)
-
-    def test_m_larger_than_n_rejected(self):
-        D = gaussian_dictionary(6, 10, 5)
-        with pytest.raises(ValueError):
-            sapiro_optimize(D, m=7, seed=0)
