@@ -43,9 +43,9 @@ def _cmd_design(args) -> int:
     else:
         seed = args.dict_seed if args.dict_seed is not None else derive_seed(0, "cli-dictionary")
         D = load_dictionary(f"gaussian:{seed}", (args.n, args.k))
-    os.makedirs(args.out_dir, exist_ok=True)
     arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
     P, trace = design(arm, D, args.m)
+    os.makedirs(args.out_dir, exist_ok=True)
     trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
 
     write_matrix(os.path.join(args.out_dir, "projection.csv"), P)

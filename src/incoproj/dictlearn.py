@@ -2,11 +2,14 @@
 projection matrix.
 
 Both learners alternate OMP sparse coding with one sweep of rank-one atom
-updates (:func:`atom_update_sweep`).  The coupled variant works on the
-stacked data [lambda*X; Y] against the stacked dictionary [lambda*I; P] @ D,
-refreshing P each outer iteration with one of the projection optimizers;
-its sweep maps every updated stacked atom back to signal space through the
-overdetermined system (lambda^2*I + P.T P) d = [lambda*I, P.T] d_stacked.
+updates (:func:`atom_update_sweep`): each used atom becomes the dominant
+eigenvector u of E Eᵀ, for E the restricted residual with the atom added
+back, and its nonzero coefficients become Eᵀu.  The coupled variant works
+on the stacked data [lambda*X; Y] against the stacked dictionary
+[lambda*I; P] @ D, refreshing P each outer iteration with one of the
+projection optimizers; its sweep maps every updated stacked atom back to
+signal space through the overdetermined system
+(lambda^2*I + P.T P) d = [lambda*I, P.T] d_stacked.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import SingularSystem
-from .linalg import ZERO_TOL, as_matrix, normalize_columns
+from .linalg import ZERO_TOL, as_matrix, normalize_columns, top_eigh
 from .matrixio import Trace
 from .optimizers import Arm, design
 from .pursuit import omp
@@ -32,13 +35,6 @@ def sparse_code(signals: np.ndarray, D: np.ndarray, S: int) -> np.ndarray:
     return omp(D, signals, S).theta_hat
 
 
-def _fix_svd_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nz = np.flatnonzero(u)
-    if nz.size and u[nz[0]] < 0:
-        return -u, -v
-    return u, v
-
-
 def atom_update_sweep(
     X: np.ndarray,
     D: np.ndarray,
@@ -49,12 +45,14 @@ def atom_update_sweep(
     """One in-place pass of rank-one atom updates; returns re-initialized atom indices.
 
     For every atom j used by at least one signal, the restricted residual
-    (with atom j's contribution added back) is fitted by its dominant
-    singular pair: the atom becomes the left singular vector, the nonzero
-    coefficients become sigma1 times the right one.  The support of each
-    coefficient row never grows.  Unused atoms are replaced by the
-    worst-represented training columns, normalized, one column per atom;
-    once every column is taken, the rest are drawn at random.
+    E (with atom j's contribution added back) is fitted by its dominant
+    singular pair, read off the small n x n Gram: the atom becomes the top
+    eigenvector u of E Eᵀ (first nonzero component positive), and the
+    nonzero coefficients become Eᵀu, which is sigma1 times the right
+    singular vector.  The support of each coefficient row never grows.
+    Unused atoms are replaced by the worst-represented training columns,
+    normalized, one column per atom; once every column is taken, the rest
+    are drawn at random.
 
     ``backmap = (W, solve)`` runs the sweep on a lifted problem: X is
     fitted by (W @ D) @ Theta, and every lifted atom or training column u
@@ -72,16 +70,15 @@ def atom_update_sweep(
         row = Theta[j]
         omega = np.flatnonzero(row)
         if omega.size:
-            E = R[:, omega] + np.outer(A[:, j], row[omega])
-            U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-            u, v = _fix_svd_signs(U[:, 0], Vt[0])
+            E = R[:, omega] + A[:, j, None] * row[omega]
+            u = top_eigh(E @ E.T, E.shape[0])[1][:, 0]
             d, nrm = (u, 1.0) if solve is None else _with_norm(solve(u))
             if nrm > ZERO_TOL:
                 D[:, j] = d / nrm
-                Theta[j, omega] = sv[0] * v * nrm
+                Theta[j, omega] = (u @ E) * nrm
                 if W is not None:
                     A[:, j] = W @ D[:, j]
-                R[:, omega] = E - np.outer(A[:, j], Theta[j, omega])
+                R[:, omega] = E - A[:, j, None] * Theta[j, omega]
                 continue
             Theta[j, omega] = 0.0
             R[:, omega] = E

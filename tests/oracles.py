@@ -1,4 +1,4 @@
-"""Independent oracles for the recovery solvers, built on scipy only.
+"""Independent oracles for the recovery solvers and the K-SVD atom update.
 
 ``certificate_value`` decides whether basis pursuit must recover a planted
 vector without running basis pursuit.  When ``A_T`` has full column rank,
@@ -7,11 +7,19 @@ exactly when a strict dual certificate exists on its support ``T``: a
 vector ``w`` with ``A_Tᵀ w = sign(theta_T)`` and ``‖A_{Tᶜ}ᵀ w‖∞ < 1``
 (Fuchs 2004, "On sparse representations in arbitrary redundant bases";
 Tropp 2006, "Just relax").
+
+``svd_atom_update_sweep`` is the K-SVD atom update as Aharon, Elad &
+Bruckstein (2006) state it: one thin SVD per used atom, keeping the
+dominant singular pair.  ``dictlearn.atom_update_sweep`` reads the same
+pair off the small Gram E Eᵀ instead, and must agree with it.
 """
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
+
+from incoproj.dictlearn import _random_atom, _reseed_atom
+from incoproj.linalg import ZERO_TOL
 
 
 def certificate_value(A, theta) -> float:
@@ -43,3 +51,43 @@ def certificate_value(A, theta) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:
+    """``atom_update_sweep`` with each used atom fitted by a thin SVD of its residual E.
+
+    The atom is the first left singular vector, signed so that its first
+    nonzero component is positive, and the coefficients are sigma1 times
+    the first right singular vector with the same sign.  Unused atoms are
+    re-seeded by the program's own rule, which this oracle does not check.
+    """
+    W, solve = backmap if backmap is not None else (None, None)
+    A = D if W is None else W @ D
+    R = X - A @ Theta
+    replaced, seeds = [], []
+    for j in range(D.shape[1]):
+        omega = np.flatnonzero(Theta[j])
+        if omega.size:
+            E = R[:, omega] + np.outer(A[:, j], Theta[j, omega])
+            U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+            u, v = U[:, 0], Vt[0]
+            if u[np.flatnonzero(u)[0]] < 0:
+                u, v = -u, -v
+            d = u if solve is None else solve(u)
+            nrm = 1.0 if solve is None else float(np.linalg.norm(d))
+            if nrm > ZERO_TOL:
+                D[:, j] = d / nrm
+                Theta[j, omega] = sv[0] * v * nrm
+                if W is not None:
+                    A[:, j] = W @ D[:, j]
+                R[:, omega] = E - np.outer(A[:, j], Theta[j, omega])
+                continue
+            Theta[j, omega] = 0.0
+            R[:, omega] = E
+            D[:, j] = _random_atom(rng, D.shape[0])
+        else:
+            D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
+        if W is not None:
+            A[:, j] = W @ D[:, j]
+        replaced.append(j)
+    return replaced

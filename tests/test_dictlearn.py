@@ -7,6 +7,7 @@ from incoproj import dictlearn
 from incoproj.dictlearn import atom_update_sweep, purge_duplicate_atoms
 from incoproj.errors import SingularSystem
 
+from oracles import svd_atom_update_sweep
 from synthetic import incoherent_frame, planted_signals
 
 
@@ -146,6 +147,46 @@ class TestAtomUpdateSweep:
         assert sorted(np.argmax(cors[:, :3], axis=0)) == [0, 1, 2]
         assert cors[:, 3:].max() < 1 - 1e-6
         assert_allclose(np.linalg.norm(D, axis=0), 1.0, atol=1e-12)
+
+
+class TestAtomUpdateSweepOracle:
+    """One sweep agrees with the thin-SVD sweep of ``oracles``."""
+
+    @staticmethod
+    def _problem(seed, lifted):
+        """A coded problem whose atom 0 has one signal, atom 1 fewer signals
+        than rows, atom 2 none, and others more than rows; and its backmap."""
+        n, k, p, S = 12, 24, 200, 3
+        rng = np.random.default_rng(seed)
+        D = normalize_columns(rng.standard_normal((n, k)))
+        X = rng.standard_normal((n, p))
+        backmap = None
+        if lifted:
+            lam, P = 0.5, rng.standard_normal((6, n)) / np.sqrt(6)
+            W = np.vstack([lam * np.eye(n), P])
+            M = lam * lam * np.eye(n) + P.T @ P
+            backmap = (W, lambda u: np.linalg.solve(M, W.T @ u))
+            X = np.vstack([lam * X, P @ X + 0.01 * rng.standard_normal((6, p))])
+        Theta = sparse_code(X, D if backmap is None else backmap[0] @ D, S)
+        keeps = {0: 1, 1: n // 2, 2: 0}
+        for j, keep in keeps.items():
+            Theta[j, np.flatnonzero(Theta[j])[keep:]] = 0.0
+        assert {j: np.count_nonzero(Theta[j]) for j in keeps} == keeps
+        assert np.count_nonzero(Theta, axis=1).max() > X.shape[0]
+        return X, D, Theta, backmap
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["plain", "backmap"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_thin_svd_sweep(self, seed, lifted):
+        X, D, Theta, backmap = self._problem(seed, lifted)
+        D_ref, Theta_ref = D.copy(), Theta.copy()
+        replaced = atom_update_sweep(X, D, Theta, np.random.default_rng(seed), backmap)
+        assert replaced == svd_atom_update_sweep(X, D_ref, Theta_ref, np.random.default_rng(seed), backmap)
+        assert 2 in replaced
+        assert_allclose(D, D_ref, rtol=0, atol=1e-10)
+        W = np.eye(D.shape[0]) if backmap is None else backmap[0]
+        for got, ref in ((Theta, Theta_ref), (X - W @ D @ Theta, X - W @ D_ref @ Theta_ref)):
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestDuplicatePurge:

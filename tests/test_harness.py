@@ -555,12 +555,12 @@ class TestCLI:
 
     def test_design_rejects_more_rows_than_n(self, tmp_path, capsys):
         rc = main(["design", "--method", "altproj", "--n", "6", "--k", "8", "--m", "7",
-                   "--out-dir", str(tmp_path)])
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: m=7 must be an integer in [1, n=6]: a projection has at most n rows\n"
         )
-        assert not (tmp_path / "projection.csv").exists()
+        assert not (tmp_path / "out").exists()  # a rejected run creates no directory
 
     @pytest.mark.parametrize("method, kept, defaults", [
         ("elad", [], ["--mode", "relative", "--percent", "26", "--gamma", "0.6"]),

@@ -2,11 +2,11 @@
 
 ``perfbench/ref/learn-ksvd.seed1`` holds the objective traces of
 ``incoproj ksvd`` and ``incoproj coupled --inner sapiro`` on the
-learn-ksvd workload's inputs at seed 1.  This test runs both jobs as a
-benchmark pass does and compares their traces with the reference by the
-benchmark's own rule, so a numerics change that moves them fails here,
-not only in the benchmark.  The workload module is imported as it is,
-never changed.
+learn-ksvd workload's inputs at seed 1, and ``learn-ksvd.seed1001`` those
+at the held-out seed 1001.  These tests run both jobs as a benchmark pass
+does and compare their traces with the reference by the benchmark's own
+rule, so a numerics change that moves them fails here, not only in the
+benchmark.  The workload module is imported as it is, never changed.
 """
 
 import csv
@@ -26,8 +26,8 @@ def read_trace(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def test_learn_ksvd_traces_match_the_seed_1_reference(tmp_path):
-    work = workloads.Workload("learn-ksvd", 1, tmp_path)
+def check_learn_reference(seed: int, tmp_path: Path) -> None:
+    work = workloads.Workload("learn-ksvd", seed, tmp_path)
     work.setup()
     x_energy, y_energy = float(np.sum(work.X * work.X)), float(np.sum(work.Y * work.Y))
     out = tmp_path / "pass"
@@ -37,3 +37,11 @@ def test_learn_ksvd_traces_match_the_seed_1_reference(tmp_path):
         reference = read_trace(work.ref_dir / f"{job}_trace.csv")
         assert len(trace) == workloads.LEARN["iterations"]
         assert workloads.compare_learn(job, trace, reference, x_energy, y_energy) == []
+
+
+def test_learn_ksvd_traces_match_the_seed_1_reference(tmp_path):
+    check_learn_reference(1, tmp_path)
+
+
+def test_learn_ksvd_traces_match_the_seed_1001_reference(tmp_path):
+    check_learn_reference(1001, tmp_path)
