@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDiagonal, RankExceeded
+from .errors import DegenerateDiagonal, InvalidRank, RankExceeded
 from .coherence import offdiag_magnitudes, trace_coherence
-from .linalg import as_matrix, lsq_projection, sqrt_factor, symmetric_rank_truncate
+from .linalg import lsq_projection, sqrt_factor, symmetric_rank_truncate
 from .matrixio import Trace
 
 
@@ -22,8 +22,7 @@ def project_convex(G, t: float) -> np.ndarray:
 
     Idempotent, and entrywise non-expansive on the off-diagonals.
     """
-    G = as_matrix(G, "gram")
-    out = np.where(np.abs(G) > t, t * np.sign(G), G)
+    out = np.clip(G, -t, t)
     np.fill_diagonal(out, np.maximum(np.diag(G), 1.0))
     return out
 
@@ -41,7 +40,6 @@ def normalize_gram(G) -> np.ndarray:
     DegenerateDiagonal
         If any diagonal entry is <= 1e-12.
     """
-    G = as_matrix(G, "gram")
     d = np.diag(G).copy()
     bad = np.flatnonzero(d <= 1e-12)
     if bad.size:
@@ -67,7 +65,6 @@ def recover_projection(G, D, m: int) -> np.ndarray:
     NotPSD
         Propagated from the square-root factorization.
     """
-    G = as_matrix(G, "gram")
     S = sqrt_factor(G, m)
     if np.linalg.norm(G - S.T @ S) > 1e-8 * float(S[0] @ S[0]) + 1e-12:
         raise RankExceeded(f"numerical rank exceeds {m}")
@@ -83,11 +80,14 @@ def altproj_optimize(
     trace of the normalized working Gram's max off-diagonal magnitude and
     its mu_t at t (NaN when nothing exceeds t).  The registry's
     ``altproj`` entry holds the keys' allowed ranges and
-    :func:`~incoproj.optimizers.design` checks D and m.
+    :func:`~incoproj.optimizers.design` checks D and m; ``m`` above the
+    atom count k raises InvalidRank here, and the steps check nothing.
     """
     k = D.shape[1]
     if k < 2:
         raise ValueError("need at least two atoms to optimize coherence")
+    if m > k:
+        raise InvalidRank(f"m={m} exceeds k={k}: a Gram of k atoms has rank at most k")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((k, k))
     G = 0.5 * (A + A.T)

@@ -45,10 +45,6 @@ def _cmd_design(args) -> int:
         D = load_dictionary(f"gaussian:{seed}", (args.n, args.k))
     arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
     P, trace = design(arm, D, args.m)
-    os.makedirs(args.out_dir, exist_ok=True)
-    trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
-
-    write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
     G = gram(P @ D)
     mu, _ = mutual_coherence(G)
     t = DEFAULT_T if args.t is None else args.t
@@ -56,7 +52,12 @@ def _cmd_design(args) -> int:
         mu_t = repr(t_average_coherence(G, t))
     except EmptyAverage:
         mu_t = "n/a"
-    write_histogram(os.path.join(args.out_dir, "gram_hist.csv"), offdiag_histogram(G, args.bins))
+    hist = offdiag_histogram(G, args.bins)
+    # Everything that can fail runs before the first write.
+    os.makedirs(args.out_dir, exist_ok=True)
+    trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
+    write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
+    write_histogram(os.path.join(args.out_dir, "gram_hist.csv"), hist)
     print(f"method={args.method} mu={mu!r} mu_t[{t!r}]={mu_t}")
     return 0
 

@@ -93,10 +93,8 @@ def relative_threshold(mags: np.ndarray, percent: float) -> float:
     sorted in decreasing order, the target count is
     ``c = ceil(percent/100 * count)`` and ``t`` is the ``(c+1)``-th largest
     magnitude (0 if that runs off the end).  Ties at ``t`` leave fewer
-    than ``c`` magnitudes strictly above it.
+    than ``c`` magnitudes strictly above it.  The registry bounds ``percent``.
     """
-    if not 0.0 < percent < 100.0:
-        raise ValueError("percent must be in (0, 100)")
     mags = np.sort(mags)[::-1]
     c = int(np.ceil(percent / 100.0 * mags.size))
     return float(mags[c]) if c < mags.size else 0.0

@@ -144,9 +144,9 @@ def purge_duplicate_atoms(
 
 def _start(X, k: int, S: int, iterations: int, seed: int):
     """Check a learner's arguments and X; returns (X, rng, seeded unit-norm starting D)."""
-    for name, value in (("k", k), ("S", S), ("iterations", iterations)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
+    for name, value, low in (("k", k, 1), ("S", S, 1), ("iterations", iterations, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
     X = as_matrix(X, "training signals")
     n, p = X.shape
     if p < k:

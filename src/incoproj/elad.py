@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ZeroColumn
+from .errors import InvalidRank, ZeroColumn
 from .linalg import gram, sqrt_factor, symmetric_rank_truncate
 from .coherence import offdiag_magnitudes, relative_threshold, trace_coherence
 from .matrixio import Trace
@@ -19,12 +19,8 @@ def shrink_elad(g, t: float, gamma: float):
     """Entrywise shrinkage: |g| >= t -> gamma*g; t > |g| >= gamma*t -> gamma*t*sign(g); else g.
 
     Odd, monotone non-decreasing, and never amplifies an entry.  Scalar in,
-    scalar out; arrays are processed elementwise.
+    scalar out; arrays are processed elementwise.  The registry bounds t and gamma.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
     arr = np.asarray(g, dtype=float)
     mag = np.abs(arr)
     out = np.where(mag >= t, gamma * arr, np.where(mag >= gamma * t, gamma * t * np.sign(arr), arr))
@@ -68,13 +64,17 @@ def elad_optimize(
 
     Raises
     ------
+    InvalidRank
+        If ``m`` exceeds the atom count k; the steps check nothing.
     ZeroColumn
         If P @ D develops a numerically zero column (degenerate P); the
         error message carries the iteration index.
     """
-    n = D.shape[0]
-    if D.shape[1] < 2:
+    n, k = D.shape
+    if k < 2:
         raise ValueError("need at least two atoms to optimize coherence")
+    if m > k:
+        raise InvalidRank(f"m={m} exceeds k={k}: a Gram of k atoms has rank at most k")
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((m, n))
     # D never changes, so every least-squares refit shares its pseudo-inverse.

@@ -1,7 +1,9 @@
 """Dense linear-algebra primitives shared by the projection optimizers.
 
-Everything here operates on plain float64 ``numpy`` arrays.  Symmetric
-eigendecompositions go through :func:`top_eigh`, which fixes the
+Everything here operates on plain float64 ``numpy`` arrays.  Only
+:func:`as_matrix` and its callers check their input; the rest trust their
+callers for symmetry, a rank in ``[1, order]`` and matching shapes.
+Symmetric eigendecompositions go through :func:`top_eigh`, which fixes the
 eigenvector sign convention so that repeated runs (and repeated calls on
 the same data) produce bit-identical results.
 """
@@ -14,7 +16,7 @@ import os
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidRank, NotPSD, ZeroColumn
+from .errors import NotPSD, ZeroColumn
 
 # Columns with norm at or below this are treated as zero.
 ZERO_TOL = 1e-12
@@ -105,24 +107,13 @@ def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], V
 
 
-def _checked_top_eigh(G, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`top_eigh` of a finite square matrix, for a rank ``m`` in [1, its order]."""
-    G = as_matrix(G, "gram")
-    k = G.shape[0]
-    if G.shape[1] != k:
-        raise ValueError("square matrix required")
-    if not 1 <= m <= k:
-        raise InvalidRank(f"rank {m} not in [1, {k}]")
-    return top_eigh(G, m)
-
-
 def symmetric_rank_truncate(G, m: int) -> np.ndarray:
     """Nearest (Frobenius) PSD matrix of rank at most ``m``.
 
     Keeps the ``m`` algebraically largest eigenvalues, clamps negatives to
     zero, and rebuilds.  Idempotent for fixed ``m`` up to rounding.
     """
-    w, V = _checked_top_eigh(G, m)
+    w, V = top_eigh(G, m)
     w = np.clip(w, 0.0, None)
     out = (V * w) @ V.T
     return 0.5 * (out + out.T)
@@ -140,7 +131,7 @@ def sqrt_factor(G, m: int) -> np.ndarray:
         largest one (with a small absolute floor), i.e. the matrix is not
         positive semidefinite to working accuracy.
     """
-    w, V = _checked_top_eigh(G, m)
+    w, V = top_eigh(G, m)
     lam_max = max(float(w[0]), 0.0)
     if float(w[-1]) < -1e-8 * lam_max - 1e-12:
         raise NotPSD(f"eigenvalue {w[-1]:.3e} too negative for sqrt factor")
@@ -150,8 +141,4 @@ def sqrt_factor(G, m: int) -> np.ndarray:
 
 def lsq_projection(S, D) -> np.ndarray:
     """Least-squares fit of ``P`` minimizing ||S - P @ D||_F (via pseudo-inverse)."""
-    S = as_matrix(S, "target")
-    D = as_matrix(D, "dictionary")
-    if S.shape[1] != D.shape[1]:
-        raise ValueError("target and dictionary must have the same number of columns")
     return S @ np.linalg.pinv(D)

@@ -65,13 +65,9 @@ def solve_standard_lp(c, A, b) -> LPResult:
     relative duality gap all at or below ``TOL`` within ``MAX_ITER``
     iterations.  The last iterate and its iteration count are reported
     either way; callers certify the solution against their own tolerance.
+    Sizes are not checked: :func:`~incoproj.pursuit.basis_pursuit` passes checked arrays.
     """
-    c = np.asarray(c, dtype=float).ravel()
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    n_rows, n_vars = A.shape
-    if c.size != n_vars or b.size != n_rows:
-        raise ValueError("inconsistent LP dimensions")
+    n_vars = A.shape[1]
 
     bnorm = 1.0 + np.linalg.norm(b)
     cnorm = 1.0 + np.linalg.norm(c)

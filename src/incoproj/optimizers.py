@@ -147,7 +147,7 @@ def _fixed(D, m, *, P):
     return P, None
 
 
-_SEED = Key("seed", int)
+_SEED = Key("seed", int, bounds=(-1, math.inf))  # an integer >= 0, as numpy requires
 
 # The threshold elad's fixed mode and altproj default to; `incoproj design`
 # also reports mu_t at it when --t is unset.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .linalg import as_matrix, top_eigh
+from .linalg import top_eigh
 from .matrixio import Trace
 
 # Eigenvalues at or below this fraction of the largest count as zero.
@@ -22,9 +22,6 @@ RANK_TOL = 1e-10
 def sapiro_objective(lambdas, Gamma) -> float:
     """Squared Frobenius misfit ‖diag(λ) − diag(λ) ΓᵀΓ diag(λ)‖_F² for eigenvalues λ."""
     lam = np.asarray(lambdas, dtype=float)
-    Gamma = as_matrix(Gamma, "gamma")
-    if Gamma.shape[1] != lam.size:
-        raise ValueError("Gamma column count must match the eigenvalue count")
     R = -(lam[:, None] * (Gamma.T @ Gamma) * lam[None, :])
     R[np.diag_indices_from(R)] += lam
     return float(np.sum(R * R))

@@ -12,6 +12,10 @@ Tropp 2006, "Just relax").
 Bruckstein (2006) state it: one thin SVD per used atom, keeping the
 dominant singular pair.  ``dictlearn.atom_update_sweep`` reads the same
 pair off the small Gram E Eᵀ instead, and must agree with it.
+
+``where_convex_projection`` is altproj's convex projection written as a
+select on ``|G| > t``; ``altproj.project_convex`` clips instead, and must
+agree with it bit for bit.
 """
 
 import numpy as np
@@ -51,6 +55,13 @@ def certificate_value(A, theta) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def where_convex_projection(G, t: float) -> np.ndarray:
+    """Off-diagonal entries above ``t`` in magnitude become ``t * sign``; the diagonal is raised to 1."""
+    out = np.where(np.abs(G) > t, t * np.sign(G), G)
+    np.fill_diagonal(out, np.maximum(np.diag(G), 1.0))
+    return out
 
 
 def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:

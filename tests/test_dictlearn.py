@@ -300,6 +300,8 @@ class TestKSVD:
             ksvd(X, 8, 0, 1, 0)
         with pytest.raises(ValueError):
             ksvd(X, 8, 1, 0, 0)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            ksvd(X, 8, 1, 1, -1)
 
     def test_trace_csv_layout(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -317,7 +319,8 @@ class TestCoupledKSVD:
     def test_config_validation(self):
         X, Y = np.ones((4, 20)), np.ones((2, 20))
         for bad, message in ((dict(lam=-0.1), "lam must be in"), (dict(lam=1.5), "lam must be in"),
-                             (dict(S=0), "S must be"), (dict(iterations=0), "iterations must be")):
+                             (dict(S=0), "S must be"), (dict(iterations=0), "iterations must be"),
+                             (dict(seed=-1), "seed must be >= 0")):
             kw = dict(k=8, S=1, iterations=1, seed=0, lam=0.5, inner=Arm("sapiro", {"seed": 0}))
             kw.update(bad)
             with pytest.raises(ValueError, match=message):

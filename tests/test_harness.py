@@ -442,6 +442,8 @@ class TestConfigParsing:
             parse_config_text(CONFIG_TEXT + "elad.gamma = 1.5\n")
         with pytest.raises(ValueError, match="t must be"):
             parse_config_text(CONFIG_TEXT.replace("altproj.t = 0.45", "altproj.t = 1.45"))
+        with pytest.raises(ValueError, match=r"^elad\.seed must be in \(-1, inf\)$"):
+            parse_config_text(CONFIG_TEXT + "elad.seed = -5\n")
 
     @pytest.mark.parametrize(
         "old, new",
@@ -561,6 +563,44 @@ class TestCLI:
             "error: m=7 must be an integer in [1, n=6]: a projection has at most n rows\n"
         )
         assert not (tmp_path / "out").exists()  # a rejected run creates no directory
+
+    @pytest.mark.parametrize("method", ["elad", "altproj"])
+    def test_design_rejects_more_rows_than_k(self, tmp_path, capsys, method):
+        rc = main(["design", "--method", method, "--n", "10", "--k", "6", "--m", "7",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: m=7 exceeds k=6: a Gram of k atoms has rank at most k\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_design_rejects_zero_bins_before_writing(self, tmp_path, capsys):
+        rc = main(["design", "--method", "sapiro", "--n", "8", "--k", "12", "--m", "4", "--bins", "0",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: bins must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("design", ["--seed", "-1"], "sapiro.seed must be in (-1, inf)"),
+        ("coupled", ["--inner-seed", "-2"], "sapiro.seed must be in (-1, inf)"),
+        ("coupled", ["--seed", "-1"], "seed must be >= 0"),
+        ("ksvd", ["--seed", "-1"], "seed must be >= 0"),
+        ("bench", [], "elad.seed must be in (-1, inf)"),
+    ], ids=["design", "coupled-inner", "coupled", "ksvd", "bench"])
+    def test_negative_seeds_rejected_by_key(self, tmp_path, capsys, command, flags, message):
+        X = np.random.default_rng(9).standard_normal((6, 40))
+        write_matrix(tmp_path / "X.csv", X)
+        write_matrix(tmp_path / "Y.csv", X[:3])
+        (tmp_path / "bench.cfg").write_text(CONFIG_TEXT + "elad.seed = -5\n")
+        learn = ["--signals", str(tmp_path / "X.csv"), "--atoms", "8", "--sparsity", "2"]
+        args = {
+            "design": ["--method", "sapiro", "--n", "8", "--k", "12", "--m", "4"],
+            "ksvd": learn,
+            "coupled": [*learn, "--measurements", str(tmp_path / "Y.csv")],
+            "bench": ["--config", str(tmp_path / "bench.cfg")],
+        }[command]
+        assert main([command, *args, *flags, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method, kept, defaults", [
         ("elad", [], ["--mode", "relative", "--percent", "26", "--gamma", "0.6"]),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from incoproj import altproj, elad
 from incoproj.altproj import altproj_optimize
 from incoproj.elad import elad_optimize
-from incoproj.errors import ConfigError
+from incoproj.errors import ConfigError, InvalidRank
 from incoproj.optimizers import OPTIMIZERS, Arm, design, lookup
 from incoproj.sapiro import sapiro_optimize
 
@@ -74,6 +75,7 @@ class TestArm:
         ("altproj", "iterations", 0, False),
         ("altproj", "iterations", 10**9, True),
         ("altproj", "iterations", 1, True),
+        *((name, "seed", seed, seed >= 0) for name in ("none", "elad", "sapiro", "altproj") for seed in (-1, 0)),
     ]
 
     @pytest.mark.parametrize(
@@ -154,6 +156,19 @@ class TestDesign:
             with pytest.raises(ValueError, match=message):
                 design(arm(m), D, m)
         assert design(arm(8), D, 8)[0].shape == (8, 8)
+
+    @pytest.mark.parametrize("name", ["elad", "altproj"])
+    def test_m_above_k_rejected_before_any_iteration(self, name, monkeypatch):
+        def step(*args):
+            raise AssertionError("an iteration ran")
+
+        monkeypatch.setattr(elad, "_shrink_offdiag", step)
+        monkeypatch.setattr(altproj, "project_convex", step)
+        D = np.random.default_rng(0).standard_normal((10, 6))  # m = 7 <= n, but a k = 6 Gram has rank <= 6
+        with pytest.raises(InvalidRank, match=r"^m=7 exceeds k=6: a Gram of k atoms has rank at most k$"):
+            design(Arm(name, self.SMALL[name]), D, 7)
+        monkeypatch.undo()
+        assert design(Arm(name, self.SMALL[name]), D, 6)[0].shape == (6, 10)
 
     def test_fixed_checks_shape(self):
         P = np.ones((4, 8))
