@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDiagonal, InvalidRank, RankExceeded
+from .errors import DegenerateDiagonal, RankExceeded
 from .coherence import offdiag_magnitudes, trace_coherence
 from .linalg import lsq_projection, sqrt_factor, symmetric_rank_truncate
 from .matrixio import Trace
@@ -80,14 +80,9 @@ def altproj_optimize(
     trace of the normalized working Gram's max off-diagonal magnitude and
     its mu_t at t (NaN when nothing exceeds t).  The registry's
     ``altproj`` entry holds the keys' allowed ranges and
-    :func:`~incoproj.optimizers.design` checks D and m; ``m`` above the
-    atom count k raises InvalidRank here, and the steps check nothing.
+    :func:`~incoproj.optimizers.design` checks D and m; the steps check nothing.
     """
     k = D.shape[1]
-    if k < 2:
-        raise ValueError("need at least two atoms to optimize coherence")
-    if m > k:
-        raise InvalidRank(f"m={m} exceeds k={k}: a Gram of k atoms has rank at most k")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((k, k))
     G = 0.5 * (A + A.T)

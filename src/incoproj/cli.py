@@ -19,7 +19,7 @@ from .errors import ConfigError, EmptyAverage, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, load_dictionary, run_sweep
 from .linalg import gram, set_blas_threads
 from .matrixio import read_matrix, write_histogram, write_matrix
-from .optimizers import DEFAULT_T, OPTIMIZERS, Arm, design
+from .optimizers import DEFAULT_T, OPTIMIZERS, SEED, Arm, design
 
 PAPER_SCALE = dict(n=200, k=400, m=30, N=10000, S_range=tuple(range(1, 11)))
 
@@ -41,8 +41,8 @@ def _cmd_design(args) -> int:
     elif args.n is None or args.k is None:
         raise ConfigError("provide --dict FILE or both --n and --k")
     else:
-        seed = args.dict_seed if args.dict_seed is not None else derive_seed(0, "cli-dictionary")
-        D = load_dictionary(f"gaussian:{seed}", (args.n, args.k))
+        seed = derive_seed(0, "cli-dictionary") if args.dict_seed is None else args.dict_seed
+        D = load_dictionary(f"gaussian:{SEED.parse(seed, '--dict-seed')}", (args.n, args.k))
     arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
     P, trace = design(arm, D, args.m)
     G = gram(P @ D)

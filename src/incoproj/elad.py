@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidRank, ZeroColumn
+from .errors import ZeroColumn
 from .linalg import gram, sqrt_factor, symmetric_rank_truncate
 from .coherence import offdiag_magnitudes, relative_threshold, trace_coherence
 from .matrixio import Trace
@@ -64,19 +64,12 @@ def elad_optimize(
 
     Raises
     ------
-    InvalidRank
-        If ``m`` exceeds the atom count k; the steps check nothing.
     ZeroColumn
         If P @ D develops a numerically zero column (degenerate P); the
         error message carries the iteration index.
     """
-    n, k = D.shape
-    if k < 2:
-        raise ValueError("need at least two atoms to optimize coherence")
-    if m > k:
-        raise InvalidRank(f"m={m} exceeds k={k}: a Gram of k atoms has rank at most k")
     rng = np.random.default_rng(seed)
-    P = rng.standard_normal((m, n))
+    P = rng.standard_normal((m, D.shape[0]))
     # D never changes, so every least-squares refit shares its pseudo-inverse.
     Dpinv = np.linalg.pinv(D)
 

@@ -18,10 +18,10 @@ from itertools import groupby
 import numpy as np
 
 from .coherence import offdiag_histogram
-from .errors import ConfigError
+from .errors import ConfigError, InvalidRank
 from .linalg import ZERO_TOL, as_dictionary, as_matrix, gram
 from .matrixio import read_matrix, write_csv, write_histogram
-from .optimizers import Arm, Key, design, lookup
+from .optimizers import Arm, Key, check_size, design, lookup
 from .pursuit import basis_pursuit, omp
 
 TRIALS_HEADER = [
@@ -83,16 +83,23 @@ class ExperimentConfig:
             if f.type in (int, float, str):
                 value = Key(f.name, f.type).parse(getattr(self, f.name), f.name)
                 object.__setattr__(self, f.name, value)
-        if self.n < 1 or self.k < 2 or self.m < 1:
-            raise ConfigError("need n >= 1, k >= 2, m >= 1")
-        if self.m > self.n:
-            raise ConfigError(f"m={self.m} exceeds n={self.n}: a projection has at most n rows")
+        if self.k < 2:
+            raise ConfigError("need k >= 2")
+        names = [arm.name for arm in self.optimizers]
+        if not names:
+            raise ConfigError("at least one optimizer arm required")
+        if len(set(names)) != len(names):
+            raise ConfigError("optimizer arm names must be unique")
+        for name in names:
+            lookup(name, SWEEP_OPTIMIZERS)
+            try:
+                check_size(name, self.n, self.k, self.m)
+            except (ValueError, InvalidRank) as exc:
+                raise ConfigError(f"{name} arm: {exc}") from None
         if not self.S_range:
             raise ConfigError("S_range must be nonempty")
-        if any(S < 0 for S in self.S_range):
-            raise ConfigError("sparsity levels must be >= 0")
-        if any(S >= self.m for S in self.S_range):
-            raise ConfigError("every S must be < m")
+        if any(not 0 <= S < self.m or S > self.k for S in self.S_range):
+            raise ConfigError(f"every S must satisfy 0 <= S < m={self.m} and S <= k={self.k}")
         if len(set(self.S_range)) != len(self.S_range):
             raise ConfigError(f"S_range {self.S_range} repeats a level")
         if self.N < 1:
@@ -103,13 +110,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"failure_threshold must be finite and > 0, got {self.failure_threshold!r}"
             )
-        names = [arm.name for arm in self.optimizers]
-        if not names:
-            raise ConfigError("at least one optimizer arm required")
-        if len(set(names)) != len(names):
-            raise ConfigError("optimizer arm names must be unique")
-        for arm in self.optimizers:
-            lookup(arm.name, SWEEP_OPTIMIZERS)
         object.__setattr__(self, "dictionary_source", self._resolved_source())
         arms = tuple(
             Arm(arm.name, {**arm.params, "seed": derive_seed(self.master_seed, "arm", arm.name)})

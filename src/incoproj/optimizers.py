@@ -8,7 +8,8 @@ dictionary learning and the CLI all describe an optimizer as an
 :func:`design`, so adding an optimizer means adding one entry here.
 
 ``m`` is given at design time, never stored in an arm: the same arm runs
-at any projection size.
+at any projection size.  :func:`check_size`, which :func:`design` and
+``ExperimentConfig`` both call, is the one check of m against D's size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import altproj, elad, sapiro
-from .errors import ConfigError
+from .errors import ConfigError, InvalidRank
 from .linalg import as_matrix
 
 _KIND_NAMES = {int: "integer", float: "number"}
@@ -73,6 +74,7 @@ class Optimizer:
     name: str
     keys: tuple[Key, ...]
     design: Callable  # (D, m, **params) -> (P, trace)
+    gram_rank: bool = False  # works on a rank-m Gram of the k atoms
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,21 @@ def lookup(name: str, among: tuple[str, ...] | None = None) -> Optimizer:
     return OPTIMIZERS[name]
 
 
+def check_size(name: str, n: int, k: int, m) -> None:
+    """Raise unless optimizer ``name`` can design an m-row projection for an n x k dictionary."""
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
+        raise ValueError(f"m={m!r} must be an integer in [1, n={n}]: a projection has at most n rows")
+    if OPTIMIZERS[name].gram_rank and k < 2:
+        raise ValueError("need at least two atoms to optimize coherence")
+    if OPTIMIZERS[name].gram_rank and m > k:
+        raise InvalidRank(f"m={m} exceeds k={k}: a Gram of k atoms has rank at most k")
+
+
 def design(arm: Arm, D, m: int):
     """Run ``arm``'s optimizer on dictionary D for an m-row projection; returns (P, trace).
 
     The one place an optimizer's arguments are checked: D must be a
-    finite 2-D matrix and ``m`` an integer in ``[1, n]``, since a
-    projection has at most n rows.
+    finite 2-D matrix, and :func:`check_size` checks ``m`` against it.
     """
     unset = [key for key, value in arm.params.items() if value is None]
     if unset:
@@ -127,9 +138,7 @@ def design(arm: Arm, D, m: int):
             " (an ExperimentConfig derives unset seeds from its master seed)"
         )
     D = as_matrix(D, "dictionary")
-    n = D.shape[0]
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
-        raise ValueError(f"m={m!r} must be an integer in [1, n={n}]: a projection has at most n rows")
+    check_size(arm.name, *D.shape, m)
     return OPTIMIZERS[arm.name].design(D, m, **arm.params)
 
 
@@ -147,7 +156,7 @@ def _fixed(D, m, *, P):
     return P, None
 
 
-_SEED = Key("seed", int, bounds=(-1, math.inf))  # an integer >= 0, as numpy requires
+SEED = Key("seed", int, bounds=(-1, math.inf))  # an integer >= 0, as numpy requires
 
 # The threshold elad's fixed mode and altproj default to; `incoproj design`
 # also reports mu_t at it when --t is unset.
@@ -157,7 +166,7 @@ OPTIMIZERS: dict[str, Optimizer] = {
     entry.name: entry
     for entry in (
         # Baseline: i.i.d. Gaussian projection, no optimization.
-        Optimizer("none", (_SEED,), _random),
+        Optimizer("none", (SEED,), _random),
         Optimizer(
             "elad",
             (
@@ -166,19 +175,21 @@ OPTIMIZERS: dict[str, Optimizer] = {
                 Key("percent", float, 26.0, when=("mode", "relative"), bounds=(0, 100)),
                 Key("gamma", float, 0.6, bounds=(0, 1)),
                 Key("iterations", int, 50, bounds=(0, math.inf)),
-                _SEED,
+                SEED,
             ),
             lambda D, m, **p: elad.elad_optimize(D, m, **p),
+            gram_rank=True,
         ),
-        Optimizer("sapiro", (_SEED,), lambda D, m, **p: sapiro.sapiro_optimize(D, m, **p)),
+        Optimizer("sapiro", (SEED,), lambda D, m, **p: sapiro.sapiro_optimize(D, m, **p)),
         Optimizer(
             "altproj",
             (
                 Key("t", float, DEFAULT_T, bounds=(0, 1)),
                 Key("iterations", int, 300, bounds=(0, math.inf)),
-                _SEED,
+                SEED,
             ),
             lambda D, m, **p: altproj.altproj_optimize(D, m, **p),
+            gram_rank=True,
         ),
         # Keep a caller-supplied projection fixed (coupled learning only).
         Optimizer("fixed", (Key("P", np.ndarray),), _fixed),

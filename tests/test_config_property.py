@@ -1,8 +1,10 @@
-"""Property: a config's echo parses back to the same experiment.
+"""Properties of sweep configs: echoes reparse, and accepted sweeps run.
 
 The echo of every valid configuration, whatever its dictionary source,
 sparsity levels and arm keys, must reparse to an equal config, and
-echoing that config again must give the same text.
+echoing that config again must give the same text.  Every config that
+``ExperimentConfig`` accepts must also run to its end: a size rule it
+does not check would fail midway, after the arms before it had run.
 """
 
 import math
@@ -10,10 +12,11 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from incoproj.harness import SWEEP_OPTIMIZERS, ExperimentConfig, config_echo, parse_config_text
-from incoproj.optimizers import Arm, lookup
+from incoproj.errors import ConfigError
+from incoproj.harness import SWEEP_OPTIMIZERS, ExperimentConfig, config_echo, parse_config_text, run_sweep
+from incoproj.optimizers import OPTIMIZERS, Arm, lookup
 
 SEEDS = st.integers(0, 2**64 - 1)
 # Config text holds a path up to its line's end: no line break, and no
@@ -43,6 +46,9 @@ def arms(name):
 def configs(draw):
     m = draw(st.integers(1, 40))
     names = draw(st.lists(st.sampled_from(SWEEP_OPTIMIZERS), min_size=1, unique=True))
+    # elad and altproj need m <= k; a planted signal needs S <= k
+    gram_rank = any(OPTIMIZERS[name].gram_rank for name in names)
+    k = draw(st.integers(max(2, m) if gram_rank else 2, 1000))
     optional = {
         "dictionary_source": st.one_of(
             st.just("gaussian"),
@@ -55,9 +61,9 @@ def configs(draw):
     }
     required = {
         "n": st.integers(m, 500),  # a projection has at most n rows
-        "k": st.integers(2, 1000),
+        "k": st.just(k),
         "m": st.just(m),
-        "S_range": st.lists(st.integers(0, m - 1), min_size=1, unique=True).map(tuple),
+        "S_range": st.lists(st.integers(0, min(m - 1, k)), min_size=1, unique=True).map(tuple),
         "N": st.integers(1, 10**6),
         "optimizers": st.tuples(*(arms(name) for name in names)),
     }
@@ -71,3 +77,37 @@ def test_echo_reparses_to_the_same_config(cfg):
     reparsed = parse_config_text(echo)
     assert reparsed == cfg
     assert config_echo(reparsed) == echo
+
+
+@st.composite
+def tiny_configs(draw):
+    """Fields of a tiny sweep with m <= n and every S < m, at any k, so some break a rule on k."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, n))
+    names = draw(st.lists(st.sampled_from(SWEEP_OPTIMIZERS), min_size=1, unique=True))
+    return dict(
+        n=n,
+        k=draw(st.integers(2, 12)),
+        m=m,
+        S_range=tuple(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True))),
+        N=draw(st.integers(1, 2)),
+        dictionary_source=f"gaussian:{draw(SEEDS)}",
+        # at most two iterations keep the elad and altproj arms cheap
+        optimizers=tuple(
+            Arm(name, {"iterations": draw(st.integers(1, 2))} if name in ("elad", "altproj") else {})
+            for name in names
+        ),
+        solver=draw(st.sampled_from(["omp", "bp", "both"])),
+        master_seed=draw(SEEDS),
+    )
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(tiny_configs())
+def test_accepted_sweeps_run_to_the_end(fields):
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ConfigError:
+        reject()
+    sweep = run_sweep(cfg)
+    assert len(sweep.cells) == len(cfg.optimizers) * len(cfg.S_range) * len(cfg.solvers)

@@ -127,14 +127,30 @@ class TestExperimentConfig:
             (dict(dictionary_source="file:"), "dictionary_source"),
             # config text drops a line's '#' and all after it: the echo would not reparse
             (dict(dictionary_source="file:runs#2/D.csv"), "'#', which starts a config comment"),
-            # every arm but the random one would fail at design time, after
-            # the random arm had run all its trials
-            (dict(m=8), "m=8 exceeds n=6"),
+            # m > n breaks every arm; the error names the first
+            (dict(m=8), "none arm: m=8 must be an integer in"),
+            # elad and altproj need m <= k, and would fail at design time
+            # after the random arm had run all its trials
+            (dict(n=10, k=6, m=7, optimizers=(Arm("none"), Arm("elad"))),
+             "elad arm: m=7 exceeds k=6: a Gram of k atoms has rank at most k"),
+            (dict(n=10, k=6, m=7, optimizers=(Arm("none"), Arm("altproj"))),
+             "altproj arm: m=7 exceeds k=6: a Gram of k atoms has rank at most k"),
+            # a planted signal has at most k nonzeros; S=4 would fail after S=1..3 ran
+            (dict(n=10, k=3, m=8, S_range=(1, 2, 3, 4)), "S <= k=3"),
         ],
     )
     def test_rejects_meaningless_sweeps(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             tiny_config(**overrides)
+
+    def test_random_and_sapiro_arms_take_more_rows_than_atoms(self):
+        # m <= k binds elad and altproj only: the other sweep arms run with k < m <= n
+        cfg = tiny_config(n=10, k=6, m=8, S_range=(1, 6), N=2)
+        sweep = run_sweep(cfg)
+        assert [(c.optimizer_name, c.solver_name, c.S) for c in sweep.cells] == [
+            (arm, solver, S) for arm in ("none", "sapiro") for S in (1, 6) for solver in ("omp", "bp")
+        ]
+        assert all(c.trial_count == 2 for c in sweep.cells)
 
     def test_scalar_fields_take_their_type(self):
         cfg = tiny_config(n="6", N=4.0, failure_threshold="1e-3", master_seed="11")
@@ -585,7 +601,8 @@ class TestCLI:
         ("coupled", ["--seed", "-1"], "seed must be >= 0"),
         ("ksvd", ["--seed", "-1"], "seed must be >= 0"),
         ("bench", [], "elad.seed must be in (-1, inf)"),
-    ], ids=["design", "coupled-inner", "coupled", "ksvd", "bench"])
+        ("design", ["--dict-seed", "-1"], "--dict-seed must be in (-1, inf)"),
+    ], ids=["design", "coupled-inner", "coupled", "ksvd", "bench", "design-dict-seed"])
     def test_negative_seeds_rejected_by_key(self, tmp_path, capsys, command, flags, message):
         X = np.random.default_rng(9).standard_normal((6, 40))
         write_matrix(tmp_path / "X.csv", X)

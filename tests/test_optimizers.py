@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -169,6 +172,24 @@ class TestDesign:
             design(Arm(name, self.SMALL[name]), D, 7)
         monkeypatch.undo()
         assert design(Arm(name, self.SMALL[name]), D, 6)[0].shape == (6, 10)
+
+    def test_size_rules_are_stated_once(self):
+        # check_size holds every size rule; the optimizers trust design to call it
+        src = Path(__file__).resolve().parents[1] / "src" / "incoproj"
+        offenders = []
+        for name in ("elad.py", "altproj.py"):
+            for node in ast.walk(ast.parse((src / name).read_text(), filename=name)):
+                if isinstance(node, ast.Name) and node.id == "InvalidRank":
+                    offenders.append(f"{name}:{node.lineno} InvalidRank")
+                if isinstance(node, ast.Compare):
+                    parts = [part for side in (node.left, *node.comparators) for part in ast.walk(side)]
+                    if any(isinstance(p, ast.Name) and p.id in ("n", "k", "m") for p in parts) or any(
+                        isinstance(p, ast.Attribute) and p.attr == "shape" for p in parts
+                    ):
+                        offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+        assert offenders == []
+        rule = "a Gram of k atoms has rank at most k"
+        assert sum(path.read_text().count(rule) for path in src.glob("*.py")) == 1
 
     def test_fixed_checks_shape(self):
         P = np.ones((4, 8))
