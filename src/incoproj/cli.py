@@ -36,8 +36,10 @@ def _arm(name: str, args, **flags) -> Arm:
 
 def _cmd_design(args) -> int:
     if args.dict:
-        shape = (args.n, args.k) if args.n is not None and args.k is not None else None
-        D = load_dictionary(f"file:{args.dict}", shape)
+        D = load_dictionary(f"file:{args.dict}", None if None in (args.n, args.k) else (args.n, args.k))
+        for flag, given, size in zip(("--n", "--k"), (args.n, args.k), D.shape):
+            if given not in (None, size):
+                raise ConfigError(f"dictionary file {args.dict} has shape {D.shape}, but {flag} is {given}")
     elif args.n is None or args.k is None:
         raise ConfigError("provide --dict FILE or both --n and --k")
     else:

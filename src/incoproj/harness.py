@@ -19,7 +19,7 @@ import numpy as np
 
 from .coherence import offdiag_histogram
 from .errors import ConfigError, InvalidRank
-from .linalg import ZERO_TOL, as_dictionary, as_matrix, gram
+from .linalg import as_dictionary, as_matrix, column_norms, gram
 from .matrixio import read_matrix, write_csv, write_histogram
 from .optimizers import Arm, Key, check_size, design, lookup
 from .pursuit import basis_pursuit, omp
@@ -240,36 +240,33 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
 
     Identical master seeds give identical planted signals in every arm, and
     the whole sweep is deterministic.  A trial whose solve raises any
-    exception is recorded (status ``error:<Name>``, infinite relative
-    error) instead of aborting the sweep.
+    exception fails (status ``error:<Name>``, infinite relative error)
+    instead of aborting the sweep; so does every trial of an arm whose
+    projection cannot be built, and that arm gets an empty histogram.
     """
     D = load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
 
     cells: list[Cell] = []
     histograms: dict[str, list[tuple[float, int]]] = {}
     for arm in cfg.optimizers:
-        P = arm_projection(arm, D, cfg.m)
-        Dhat = P @ D
-        norms = np.linalg.norm(Dhat, axis=0)
-        degenerate = bool(np.any(norms <= ZERO_TOL))
-        if not degenerate:
+        try:
+            P = arm_projection(arm, D, cfg.m)
+            Dhat = P @ D
+            norms = column_norms(Dhat, "effective dictionary")
             Dn = Dhat / norms
-            histograms[arm.name] = offdiag_histogram(gram(Dhat), 50)
-        else:
-            histograms[arm.name] = []
+            histograms[arm.name], arm_failure = offdiag_histogram(gram(Dhat), 50), None
+        except Exception as exc:
+            histograms[arm.name], arm_failure = [], _failed(exc)
         for S in cfg.S_range:
             # Each block re-draws its level's pairs from the same seed, so
             # every arm sees the same signals without keeping them all.
             seed = derive_seed(cfg.master_seed, "signals", S)
-            signals = synthesize_signals(D, S, cfg.N, np.random.default_rng(seed))
-            errors = np.empty((len(cfg.solvers), cfg.N))
-            statuses: list[list[str]] = [[] for _ in cfg.solvers]
-            for i, (theta, x) in enumerate(signals):
-                y = P @ x
-                for j, solver_name in enumerate(cfg.solvers):
-                    if degenerate:
-                        rel_err, status = float("inf"), "error:ZeroColumn"
-                    else:
+            outcomes = [[arm_failure] * cfg.N for _ in cfg.solvers]  # [solver][trial]
+            if arm_failure is None:
+                signals = synthesize_signals(D, S, cfg.N, np.random.default_rng(seed))
+                for i, (theta, x) in enumerate(signals):
+                    y = P @ x
+                    for j, solver_name in enumerate(cfg.solvers):
                         try:
                             res = omp(Dn, y, S) if solver_name == "omp" else basis_pursuit(Dn, y)
                             theta_hat = res.theta_hat / norms
@@ -278,18 +275,19 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
                                 rel_err = float(np.linalg.norm(theta_hat - theta)) / denom
                             else:
                                 rel_err = 0.0 if not np.any(theta_hat) else float("inf")
-                            status = res.status.value
+                            outcomes[j][i] = (rel_err, res.status.value)
                         except Exception as exc:
-                            rel_err, status = float("inf"), f"error:{type(exc).__name__}"
-                    errors[j, i] = rel_err
-                    statuses[j].append(status)
-            success = errors <= cfg.failure_threshold
-            cells.extend(
-                Cell(arm.name, name, S, seed, errors[j], success[j], tuple(statuses[j]))
-                for j, name in enumerate(cfg.solvers)
-            )
+                            outcomes[j][i] = _failed(exc)
+            for name, column in zip(cfg.solvers, outcomes):
+                errors, statuses = np.array([e for e, _ in column]), tuple(s for _, s in column)
+                cells.append(Cell(arm.name, name, S, seed, errors, errors <= cfg.failure_threshold, statuses))
 
     return Sweep(tuple(cells), histograms, config_echo(cfg))
+
+
+def _failed(exc: Exception) -> tuple[float, str]:
+    """The (relative error, status) of every trial that a raised ``exc`` fails."""
+    return math.inf, f"error:{type(exc).__name__}"
 
 
 def config_echo(cfg: ExperimentConfig) -> str:

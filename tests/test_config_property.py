@@ -4,7 +4,8 @@ The echo of every valid configuration, whatever its dictionary source,
 sparsity levels and arm keys, must reparse to an equal config, and
 echoing that config again must give the same text.  Every config that
 ``ExperimentConfig`` accepts must also run to its end: a size rule it
-does not check would fail midway, after the arms before it had run.
+does not check would fail midway, after the arms before it had run, and
+an arm whose design raises fails its own trials, not the sweep.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from incoproj.errors import ConfigError
 from incoproj.harness import SWEEP_OPTIMIZERS, ExperimentConfig, config_echo, parse_config_text, run_sweep
@@ -102,8 +103,21 @@ def tiny_configs(draw):
     )
 
 
+def altproj_at_one_row(names, master_seed):
+    """At m=1 altproj's rank-1 Gram can reach a zero diagonal entry, which fails its design."""
+    return dict(
+        n=1, k=5, m=1, S_range=(0,), N=1, dictionary_source="gaussian:0",
+        optimizers=tuple(
+            Arm(name, {"iterations": 1} if name in ("elad", "altproj") else {}) for name in names
+        ),
+        solver="omp", master_seed=master_seed,
+    )
+
+
 @settings(deadline=None, database=None, max_examples=150)
 @given(tiny_configs())
+@example(altproj_at_one_row(("none", "altproj"), 180))
+@example(altproj_at_one_row(SWEEP_OPTIMIZERS, 1425))
 def test_accepted_sweeps_run_to_the_end(fields):
     try:
         cfg = ExperimentConfig(**fields)

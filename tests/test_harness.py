@@ -317,6 +317,49 @@ class TestRunSweep:
         del expected[2]
         assert records == expected
 
+    @pytest.mark.parametrize("error", ["DegenerateDiagonal", "ZeroColumn"])
+    def test_arm_that_cannot_be_built_fails_its_own_trials(self, tmp_path, monkeypatch, error):
+        if error == "DegenerateDiagonal":
+            # at m=1 altproj's rank-1 Gram reaches a zero diagonal entry for this seed
+            cfg = tiny_config(n=1, k=5, m=1, S_range=(0,), N=3, dictionary_source="gaussian:0",
+                              optimizers=(Arm("altproj", {"iterations": 1}), Arm("none")),
+                              master_seed=180)
+        else:
+            cfg = tiny_config(S_range=(1, 2), optimizers=(Arm("sapiro"), Arm("none")))
+            arm_projection = harness.arm_projection
+
+            def sapiro_loses_atom_0(arm, D, m):
+                P = arm_projection(arm, D, m)
+                d = D[:, 0]
+                return P - np.outer(P @ d, d) / (d @ d) if arm.name == "sapiro" else P
+
+            monkeypatch.setattr(harness, "arm_projection", sapiro_loses_atom_0)
+        healthy = run_sweep(replace(cfg, optimizers=cfg.optimizers[1:]))
+        solves = []
+        for name in ("omp", "basis_pursuit"):
+            solve = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, solve=solve: solves.append(a) or solve(*a))
+
+        sweep = run_sweep(cfg)
+        failed = cfg.optimizers[0].name
+        bad = [c for c in sweep.cells if c.optimizer_name == failed]
+        assert len(bad) == len(cfg.S_range) * len(cfg.solvers)
+        for cell in bad:
+            assert cell.status == (f"error:{error}",) * cfg.N
+            assert np.all(cell.relative_error == np.inf) and not np.any(cell.success)
+        # no solve ran for the failed arm, and the sweep went on: the next
+        # arm's cells are those of a sweep without the failed arm
+        assert len(solves) == len(list(healthy.trial_rows()))
+        rest = sweep.cells[len(bad):]
+        assert [(c.optimizer_name, c.solver_name, c.S, c.seed_used, c.status) for c in rest] == [
+            (c.optimizer_name, c.solver_name, c.S, c.seed_used, c.status) for c in healthy.cells
+        ]
+        for got, want in zip(rest, healthy.cells):
+            assert np.array_equal(got.relative_error, want.relative_error)
+            assert np.array_equal(got.success, want.success)
+        emit_reports(sweep, tmp_path)
+        assert (tmp_path / f"gram_hist_{failed}.csv").read_text() == "bin_lower,count\n"
+
     def test_cells_in_first_seen_order(self):
         sweep = run_sweep(tiny_config())
         assert [c.optimizer_name for c in sweep.cells[:2]] == ["none", "none"]
@@ -570,6 +613,18 @@ class TestCLI:
             f"error: dictionary file {dict_path} has shape (30, 60), expected (8, 12)\n"
         )
         assert not (tmp_path / "out" / "projection.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--n", "8"), ("--k", "12")])
+    def test_design_dict_file_must_match_a_lone_n_or_k(self, tmp_path, capsys, flag, value):
+        dict_path = tmp_path / "D.csv"
+        write_matrix(dict_path, np.random.default_rng(2).standard_normal((30, 60)))
+        rc = main(["design", "--method", "sapiro", "--dict", str(dict_path), flag, value,
+                   "--m", "4", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: dictionary file {dict_path} has shape (30, 60), but {flag} is {value}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_design_rejects_more_rows_than_n(self, tmp_path, capsys):
         rc = main(["design", "--method", "altproj", "--n", "6", "--k", "8", "--m", "7",
