@@ -10,10 +10,15 @@ method on the normal equations.  Fully deterministic: no randomized
 pivoting, no external solver.  Problems here are small and dense (the
 split l1 program is at most a few hundred variables), so Cholesky on
 A @ diag(d) @ A.T per iteration is the right tool.
+
+An iteration at that size costs its numpy calls, not their arithmetic, so x
+and the dual slack s are the halves of one array z: one divide gives both step
+lengths of a stacked direction dz, and one update and one check move z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,25 +42,30 @@ class LPResult:
 
 def _chol_solve_factory(M: np.ndarray):
     """LAPACK Cholesky solve (dpotrf/dpotrs), escalating diagonal jitter for near-singular M."""
-    if not np.all(np.isfinite(M)):
-        # Jitter cannot repair overflow; let the caller treat this as a
-        # numerical breakdown of the current iterate.
+    if not np.isfinite(M).all():
+        # Jitter cannot repair overflow; the caller treats this as a breakdown of its iterate.
         raise np.linalg.LinAlgError("normal equations contain non-finite entries")
-    scale = float(np.trace(M)) / M.shape[0]
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
-    jitter = 0.0
-    for _ in range(8):
-        L, info = dpotrf(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=1, clean=0)
-        if info == 0:
-            return lambda rhs: dpotrs(L, rhs, lower=1)[0]
-        jitter = max(jitter * 100.0, 1e-13 * scale)
-    raise np.linalg.LinAlgError("normal equations not factorizable even with jitter")
+    L, info = dpotrf(M, lower=1, clean=0)
+    if info:
+        scale = float(np.trace(M)) / M.shape[0]
+        jitter = 1e-13 * (scale if math.isfinite(scale) and scale > 0.0 else 1.0)
+        for _ in range(7):
+            L, info = dpotrf(M + jitter * np.eye(M.shape[0]), lower=1, clean=0)
+            if info == 0:
+                break
+            jitter *= 100.0
+        else:
+            raise np.linalg.LinAlgError("normal equations not factorizable even with jitter")
+    return lambda rhs: dpotrs(L, rhs, lower=1)[0]
 
 
-def _step_length(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with v + alpha*dv >= 0 (inf when dv never decreases v)."""
-    return float(np.min(np.divide(-v, dv, out=np.full(v.shape, np.inf), where=dv < 0.0)))
+def _centering(mu_aff: float, mu: float) -> float:
+    """Mehrotra's sigma = (mu_aff/mu)**3 in [0, 1], 0 unless mu > 0; a cube past the float range clamps."""
+    try:
+        cube = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
+    except OverflowError:
+        cube = math.copysign(math.inf, mu_aff)
+    return min(max(cube, 0.0), 1.0)
 
 
 def solve_standard_lp(c, A, b) -> LPResult:
@@ -68,9 +78,7 @@ def solve_standard_lp(c, A, b) -> LPResult:
     Sizes are not checked: :func:`~incoproj.pursuit.basis_pursuit` passes checked arrays.
     """
     n_vars = A.shape[1]
-
-    bnorm = 1.0 + np.linalg.norm(b)
-    cnorm = 1.0 + np.linalg.norm(c)
+    bnorm, cnorm = 1.0 + np.linalg.norm(b), 1.0 + np.linalg.norm(c)
 
     # Starting point (least-squares heuristic, shifted into the positive orthant).
     solve0 = _chol_solve_factory(A @ A.T)
@@ -82,41 +90,41 @@ def solve_standard_lp(c, A, b) -> LPResult:
     mu0 = float(x @ s)
     if mu0 > 0.0 and float(x.sum()) > 0.0 and float(s.sum()) > 0.0:
         x = x + 0.5 * mu0 / float(s.sum())
-        s = s + 0.5 * mu0 / float(x.sum())
+        z = np.concatenate((x, s + 0.5 * mu0 / float(x.sum())))
     else:
-        x = np.ones(n_vars)
-        s = np.ones(n_vars)
+        z = np.ones(2 * n_vars)
+    x, s = z[:n_vars], z[n_vars:]
 
-    def residuals(x, lam, s):
-        rb = A @ x - b
-        rc = A.T @ lam + s - c
+    def residuals():
+        # Negated residuals, mu and the stopping test; sqrt(v @ v) is np.linalg.norm bit for bit.
+        r_b, r_c, mu = b - A @ x, c - (A.T @ lam + s), float(x @ s) / n_vars
+        if not (math.sqrt(float(r_b @ r_b)) / bnorm <= TOL and math.sqrt(float(r_c @ r_c)) / cnorm <= TOL):
+            return r_b, r_c, mu, False
         cx = float(c @ x)
-        mu = float(x @ s) / n_vars
-        pinf = float(np.linalg.norm(rb)) / bnorm
-        dinf = float(np.linalg.norm(rc)) / cnorm
         gap = abs(cx - float(b @ lam)) / (1.0 + abs(cx))
-        ok = pinf <= TOL and dinf <= TOL and min(gap, mu / (1.0 + abs(cx))) <= TOL
-        return rb, rc, mu, ok
+        return r_b, r_c, mu, min(gap, mu / (1.0 + abs(cx))) <= TOL
 
     def newton(rxs):
-        # (dx, dlam, ds) for complementarity target rxs at the current
-        # iterate: predictor and corrector share its factorization, solve.
-        w = (rxs + x * rc) / s
-        dlam = solve(-rb - A @ w)
+        # (dz, dlam) for complementarity target rxs; predictor and corrector share solve.
+        w = (rxs - x_rc) / s
+        dlam = solve(r_b - A @ w)
         At_dlam = A.T @ dlam
-        return w + d * At_dlam, dlam, -rc - At_dlam
+        return np.concatenate((w + d * At_dlam, r_c - At_dlam)), dlam
 
-    for iterations in range(1, MAX_ITER + 1):
-        rb, rc, mu, converged = residuals(x, lam, s)
-        if converged:
-            break
+    def step_lengths(dz, eta=1.0):
+        # Largest primal and dual steps keeping z >= 0, times eta and capped at 1.
+        alpha_p, alpha_d = np.where(dz < 0.0, neg_z / dz, np.inf).reshape(2, n_vars).min(axis=1).tolist()
+        return min(1.0, eta * alpha_p), min(1.0, eta * alpha_d)
 
-        # Near-degenerate complementary pairs can overflow x/s; any
-        # non-finite quantity below means the iterate is as good as it
-        # gets, so keep it and stop rather than poison the factorization.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = x / s
-            if not np.all(np.isfinite(d)):
+    # Near-degenerate complementary pairs can overflow x/s; any non-finite quantity means the
+    # iterate is as good as it gets, so keep it and stop rather than poison the factorization.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iterations in range(1, MAX_ITER + 1):
+            r_b, r_c, mu, converged = residuals()
+            if converged:
+                break
+            d, xs, x_rc, neg_z = x / s, x * s, x * r_c, -z
+            if not np.isfinite(d).all():
                 break
             try:
                 solve = _chol_solve_factory((A * d) @ A.T)
@@ -124,36 +132,28 @@ def solve_standard_lp(c, A, b) -> LPResult:
                 break
 
             # Predictor (affine scaling) direction.
-            dx_a, _, ds_a = newton(-x * s)
-            if not (np.all(np.isfinite(dx_a)) and np.all(np.isfinite(ds_a))):
+            dz_a, _ = newton(-xs)
+            if not np.isfinite(dz_a).all():
                 break
-            alpha_p = min(1.0, _step_length(x, dx_a))
-            alpha_d = min(1.0, _step_length(s, ds_a))
-            mu_aff = float((x + alpha_p * dx_a) @ (s + alpha_d * ds_a)) / n_vars
-            sigma = min(max((mu_aff / mu) ** 3, 0.0), 1.0) if mu > 0.0 else 0.0
-            if not np.isfinite(sigma):
+            alpha_p, alpha_d = step_lengths(dz_a)
+            mu_aff = float((x + alpha_p * dz_a[:n_vars]) @ (s + alpha_d * dz_a[n_vars:])) / n_vars
+            sigma = _centering(mu_aff, mu)
+            if not math.isfinite(sigma):
                 break
 
             # Corrector direction with centering.
-            dx, dlam, ds = newton(sigma * mu - x * s - dx_a * ds_a)
-
-            eta = min(max(0.995, 1.0 - mu), 0.99995)
-            alpha_p = min(1.0, eta * _step_length(x, dx))
-            alpha_d = min(1.0, eta * _step_length(s, ds))
+            dz, dlam = newton(sigma * mu - xs - dz_a[:n_vars] * dz_a[n_vars:])
+            alpha_p, alpha_d = step_lengths(dz, min(max(0.995, 1.0 - mu), 0.99995))
             if alpha_p <= 0.0 or alpha_d <= 0.0:
                 break
-            x_new = x + alpha_p * dx
-            lam_new = lam + alpha_d * dlam
-            s_new = s + alpha_d * ds
-        if not (
-            np.all(np.isfinite(x_new))
-            and np.all(np.isfinite(s_new))
-            and np.all(np.isfinite(lam_new))
-        ):
-            break
-        x, lam, s = x_new, lam_new, s_new
-    else:
-        # Ran out of iterations; the final step may still have converged.
-        *_, converged = residuals(x, lam, s)
+            dz[:n_vars] *= alpha_p
+            dz[n_vars:] *= alpha_d
+            z_new, lam_new = z + dz, lam + alpha_d * dlam
+            if not (np.isfinite(z_new).all() and np.isfinite(lam_new).all()):
+                break
+            z, lam = z_new, lam_new
+            x, s = z[:n_vars], z[n_vars:]
+        else:  # ran out of iterations; the final step may still have converged
+            *_, converged = residuals()
 
     return LPResult(x=x, lam=lam, iterations=iterations, converged=converged)

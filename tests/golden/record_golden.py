@@ -1,0 +1,88 @@
+"""Record the golden CLI corpus: for every case in cases.txt, the SHA-256 of
+its stdout, its stderr and each file it writes, and its exit code.
+
+    PYTHONPATH=src python tests/golden/record_golden.py
+
+Each case runs through ``incoproj.cli.main`` in a fresh temporary directory
+that holds copies of ``inputs/``, at one BLAS thread as the CLI sets it.
+Record at the commit whose outputs are the reference.  A change that means to
+alter an output re-records, and names each changed case in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from incoproj import cli
+
+HERE = Path(__file__).resolve().parent
+CASES = HERE / "cases.txt"
+DIGESTS = HERE / "digests.txt"
+INPUTS = HERE / "inputs"
+
+
+def load_cases() -> dict[str, list[str]]:
+    """Case name -> CLI arguments, in file order."""
+    cases = {}
+    for line in CASES.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, *argv = shlex.split(line)
+            cases[name] = argv
+    return cases
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv: list[str], workdir: Path) -> dict[str, str]:
+    """Run one case in ``workdir``: its exit code, then the digests of stdout, stderr and every file it wrote."""
+    shutil.copytree(INPUTS, workdir, dirs_exist_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    items = {"exit": str(code), "stdout": _sha256(out.getvalue().encode()), "stderr": _sha256(err.getvalue().encode())}
+    for path in sorted(workdir.rglob("*")):
+        rel = path.relative_to(workdir).as_posix()
+        if path.is_file() and not (INPUTS / rel).is_file():
+            items[rel] = _sha256(path.read_bytes())
+    return items
+
+
+def read_digests() -> dict[str, dict[str, str]]:
+    """Case name -> {item: digest or exit code}, as recorded."""
+    recorded: dict[str, dict[str, str]] = {}
+    for line in DIGESTS.read_text().splitlines():
+        name, item, value = line.split()
+        recorded.setdefault(name, {})[item] = value
+    return recorded
+
+
+def main() -> int:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in load_cases().items():
+            lines += [f"{name} {item} {value}" for item, value in run_case(argv, Path(tmp) / name).items()]
+    DIGESTS.write_text("\n".join(lines) + "\n")
+    print(f"recorded {len(lines)} digests of {len(load_cases())} cases to {DIGESTS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,14 +16,20 @@ pair off the small Gram E Eᵀ instead, and must agree with it.
 ``where_convex_projection`` is altproj's convex projection written as a
 select on ``|G| > t``; ``altproj.project_convex`` clips instead, and must
 agree with it bit for bit.
+
+``reference_standard_lp`` is the interior-point loop of ``lp`` with one
+numpy call per quantity, as it stood before x and s were stacked into one
+array; ``lp.solve_standard_lp`` must return the same bytes.
 """
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
 
 from incoproj.dictlearn import _random_atom, _reseed_atom
 from incoproj.linalg import ZERO_TOL
+from incoproj.lp import MAX_ITER, TOL, LPResult
 
 
 def certificate_value(A, theta) -> float:
@@ -102,3 +108,125 @@ def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:
             A[:, j] = W @ D[:, j]
         replaced.append(j)
     return replaced
+
+
+def _chol_solve_factory(M: np.ndarray):
+    """LAPACK Cholesky solve (dpotrf/dpotrs), escalating diagonal jitter for near-singular M."""
+    if not np.all(np.isfinite(M)):
+        # Jitter cannot repair overflow; let the caller treat this as a
+        # numerical breakdown of the current iterate.
+        raise np.linalg.LinAlgError("normal equations contain non-finite entries")
+    scale = float(np.trace(M)) / M.shape[0]
+    if not np.isfinite(scale) or scale <= 0.0:
+        scale = 1.0
+    jitter = 0.0
+    for _ in range(8):
+        L, info = dpotrf(M + jitter * np.eye(M.shape[0]) if jitter else M, lower=1, clean=0)
+        if info == 0:
+            return lambda rhs: dpotrs(L, rhs, lower=1)[0]
+        jitter = max(jitter * 100.0, 1e-13 * scale)
+    raise np.linalg.LinAlgError("normal equations not factorizable even with jitter")
+
+
+def _step_length(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha with v + alpha*dv >= 0 (inf when dv never decreases v)."""
+    return float(np.min(np.divide(-v, dv, out=np.full(v.shape, np.inf), where=dv < 0.0)))
+
+
+def reference_standard_lp(c, A, b) -> LPResult:
+    """``lp.solve_standard_lp`` as it was written before its iterate was stacked.
+
+    One numpy call per quantity, x and s as separate arrays, and a
+    ``_step_length`` call per step.  The stacked solver keeps every
+    floating-point operation of this loop, so the two must agree bit for bit.
+    """
+    n_vars = A.shape[1]
+
+    bnorm = 1.0 + np.linalg.norm(b)
+    cnorm = 1.0 + np.linalg.norm(c)
+
+    # Starting point (least-squares heuristic, shifted into the positive orthant).
+    solve0 = _chol_solve_factory(A @ A.T)
+    x = A.T @ solve0(b)
+    lam = solve0(A @ c)
+    s = c - A.T @ lam
+    x += max(-1.5 * float(x.min(initial=0.0)), 0.0)
+    s += max(-1.5 * float(s.min(initial=0.0)), 0.0)
+    mu0 = float(x @ s)
+    if mu0 > 0.0 and float(x.sum()) > 0.0 and float(s.sum()) > 0.0:
+        x = x + 0.5 * mu0 / float(s.sum())
+        s = s + 0.5 * mu0 / float(x.sum())
+    else:
+        x = np.ones(n_vars)
+        s = np.ones(n_vars)
+
+    def residuals(x, lam, s):
+        rb = A @ x - b
+        rc = A.T @ lam + s - c
+        cx = float(c @ x)
+        mu = float(x @ s) / n_vars
+        pinf = float(np.linalg.norm(rb)) / bnorm
+        dinf = float(np.linalg.norm(rc)) / cnorm
+        gap = abs(cx - float(b @ lam)) / (1.0 + abs(cx))
+        ok = pinf <= TOL and dinf <= TOL and min(gap, mu / (1.0 + abs(cx))) <= TOL
+        return rb, rc, mu, ok
+
+    def newton(rxs):
+        # (dx, dlam, ds) for complementarity target rxs at the current
+        # iterate: predictor and corrector share its factorization, solve.
+        w = (rxs + x * rc) / s
+        dlam = solve(-rb - A @ w)
+        At_dlam = A.T @ dlam
+        return w + d * At_dlam, dlam, -rc - At_dlam
+
+    for iterations in range(1, MAX_ITER + 1):
+        rb, rc, mu, converged = residuals(x, lam, s)
+        if converged:
+            break
+
+        # Near-degenerate complementary pairs can overflow x/s; any
+        # non-finite quantity below means the iterate is as good as it
+        # gets, so keep it and stop rather than poison the factorization.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = x / s
+            if not np.all(np.isfinite(d)):
+                break
+            try:
+                solve = _chol_solve_factory((A * d) @ A.T)
+            except np.linalg.LinAlgError:
+                break
+
+            # Predictor (affine scaling) direction.
+            dx_a, _, ds_a = newton(-x * s)
+            if not (np.all(np.isfinite(dx_a)) and np.all(np.isfinite(ds_a))):
+                break
+            alpha_p = min(1.0, _step_length(x, dx_a))
+            alpha_d = min(1.0, _step_length(s, ds_a))
+            mu_aff = float((x + alpha_p * dx_a) @ (s + alpha_d * ds_a)) / n_vars
+            sigma = min(max((mu_aff / mu) ** 3, 0.0), 1.0) if mu > 0.0 else 0.0
+            if not np.isfinite(sigma):
+                break
+
+            # Corrector direction with centering.
+            dx, dlam, ds = newton(sigma * mu - x * s - dx_a * ds_a)
+
+            eta = min(max(0.995, 1.0 - mu), 0.99995)
+            alpha_p = min(1.0, eta * _step_length(x, dx))
+            alpha_d = min(1.0, eta * _step_length(s, ds))
+            if alpha_p <= 0.0 or alpha_d <= 0.0:
+                break
+            x_new = x + alpha_p * dx
+            lam_new = lam + alpha_d * dlam
+            s_new = s + alpha_d * ds
+        if not (
+            np.all(np.isfinite(x_new))
+            and np.all(np.isfinite(s_new))
+            and np.all(np.isfinite(lam_new))
+        ):
+            break
+        x, lam, s = x_new, lam_new, s_new
+    else:
+        # Ran out of iterations; the final step may still have converged.
+        *_, converged = residuals(x, lam, s)
+
+    return LPResult(x=x, lam=lam, iterations=iterations, converged=converged)

@@ -1,0 +1,28 @@
+"""The CLI still writes the recorded golden corpus, byte for byte.
+
+``tests/golden/cases.txt`` lists small CLI invocations, and
+``tests/golden/digests.txt`` holds the SHA-256 of each one's stdout, stderr
+and written files, and its exit code, as ``tests/golden/record_golden.py``
+recorded them.  A change that alters any of these fails here; one that
+means to re-records the digests and names each changed case.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.append(str(Path(__file__).resolve().parent / "golden"))
+import record_golden  # noqa: E402
+
+CASES = record_golden.load_cases()
+RECORDED = record_golden.read_digests()
+
+
+def test_every_case_is_recorded():
+    assert list(RECORDED) == list(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_case_matches_its_recorded_digests(tmp_path, name):
+    assert record_golden.run_case(CASES[name], tmp_path / name) == RECORDED[name]
