@@ -20,8 +20,6 @@ from .errors import (
     IncoprojError,
     InvalidRank,
     NotFound,
-    NotPSD,
-    RankExceeded,
     SingularSystem,
     TooFewColumns,
     TooLarge,
@@ -60,8 +58,6 @@ __all__ = [
     "IncoprojError",
     "InvalidRank",
     "NotFound",
-    "NotPSD",
-    "RankExceeded",
     "RecoveryResult",
     "RecoveryStatus",
     "SingularSystem",

@@ -3,15 +3,16 @@
 Alternates between two sets of k x k symmetric matrices: the convex set
 where off-diagonals are capped at t in magnitude and the diagonal is at
 least 1, and the non-convex set of PSD matrices with rank at most m.
-After the loop the working Gram is normalized to unit diagonal and a
-projection matrix realizing it (in the least-squares sense) is recovered.
+After the loop the working Gram, PSD with rank at most m by construction,
+is normalized to unit diagonal and a projection matrix realizing it (in
+the least-squares sense) is recovered from it without a further check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDiagonal, RankExceeded
+from .errors import DegenerateDiagonal
 from .coherence import offdiag_magnitudes, trace_coherence
 from .linalg import lsq_projection, sqrt_factor, symmetric_rank_truncate
 from .matrixio import Trace
@@ -56,19 +57,9 @@ def recover_projection(G, D, m: int) -> np.ndarray:
 
     Factors G = SᵀS with S of m rows and fits P to minimize ‖S − P D‖_F.
     Exact equality DᵀPᵀPD = G is not guaranteed; residual minimality is.
-
-    Raises
-    ------
-    RankExceeded
-        If G has numerical rank > m: the factor misses G by more than
-        1e-8 times G's largest eigenvalue (plus 1e-12) in Frobenius norm.
-    NotPSD
-        Propagated from the square-root factorization.
+    Trusts its caller, as :func:`~incoproj.linalg.sqrt_factor` does, for a PSD G of rank <= m.
     """
-    S = sqrt_factor(G, m)
-    if np.linalg.norm(G - S.T @ S) > 1e-8 * float(S[0] @ S[0]) + 1e-12:
-        raise RankExceeded(f"numerical rank exceeds {m}")
-    return lsq_projection(S, D)
+    return lsq_projection(sqrt_factor(G, m), D)
 
 
 def altproj_optimize(

@@ -36,15 +36,12 @@ def _arm(name: str, args, **flags) -> Arm:
 
 def _cmd_design(args) -> int:
     if args.dict:
-        D = load_dictionary(f"file:{args.dict}", None if None in (args.n, args.k) else (args.n, args.k))
-        for flag, given, size in zip(("--n", "--k"), (args.n, args.k), D.shape):
-            if given not in (None, size):
-                raise ConfigError(f"dictionary file {args.dict} has shape {D.shape}, but {flag} is {given}")
+        D = load_dictionary(f"file:{args.dict}", args.n, args.k)
     elif args.n is None or args.k is None:
         raise ConfigError("provide --dict FILE or both --n and --k")
     else:
         seed = derive_seed(0, "cli-dictionary") if args.dict_seed is None else args.dict_seed
-        D = load_dictionary(f"gaussian:{SEED.parse(seed, '--dict-seed')}", (args.n, args.k))
+        D = load_dictionary(f"gaussian:{SEED.parse(seed, '--dict-seed')}", args.n, args.k)
     arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
     P, trace = design(arm, D, args.m)
     G = gram(P @ D)

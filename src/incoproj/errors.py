@@ -27,10 +27,6 @@ class InvalidRank(IncoprojError):
     """Requested rank is outside the meaningful range for the given matrix."""
 
 
-class NotPSD(IncoprojError):
-    """Matrix expected to be positive semidefinite has a significantly negative eigenvalue."""
-
-
 class TooFewColumns(IncoprojError):
     """Pairwise column statistics need at least two columns."""
 
@@ -49,10 +45,6 @@ class DegenerateDiagonal(IncoprojError):
 
 class DegenerateSpectrum(IncoprojError):
     """All eigenvalues of the frame operator are numerically zero."""
-
-
-class RankExceeded(IncoprojError):
-    """Numerical rank is larger than the target rank allows."""
 
 
 class TooLarge(IncoprojError):

@@ -199,18 +199,19 @@ class Sweep:
                     )
 
 
-def load_dictionary(source: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+def load_dictionary(source: str, n: int | None = None, k: int | None = None) -> np.ndarray:
     """The dictionary a ``gaussian:<seed>`` or ``file:<path>`` source names.
 
-    A Gaussian source draws a ``shape`` matrix from its seed; a file
-    source must have ``shape`` when one is given.
+    A Gaussian source draws an n x k matrix from its seed; a file source
+    must have each of ``n`` rows and ``k`` columns that is given.
     """
     kind, _, arg = source.partition(":")
     if kind == "gaussian":
-        return as_dictionary(np.random.default_rng(int(arg)).standard_normal(shape))
+        return as_dictionary(np.random.default_rng(int(arg)).standard_normal((n, k)))
     data = read_matrix(arg)
-    if shape is not None and data.shape != shape:
-        raise ConfigError(f"dictionary file {arg} has shape {data.shape}, expected {shape}")
+    expected = tuple(size if given is None else given for size, given in zip(data.shape, (n, k)))
+    if data.shape != expected:
+        raise ConfigError(f"dictionary file {arg} has shape {data.shape}, expected {expected}")
     return as_dictionary(data)
 
 
@@ -244,7 +245,7 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
     instead of aborting the sweep; so does every trial of an arm whose
     projection cannot be built, and that arm gets an empty histogram.
     """
-    D = load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
+    D = load_dictionary(cfg.dictionary_source, cfg.n, cfg.k)
 
     cells: list[Cell] = []
     histograms: dict[str, list[tuple[float, int]]] = {}
@@ -330,11 +331,6 @@ def emit_reports(sweep: Sweep, out_dir) -> list[str]:
 # Flat key = value configuration files
 # ---------------------------------------------------------------------------
 
-_ARM_KEYS = {
-    f"{name}.{key.name}" for name in SWEEP_OPTIMIZERS for key in lookup(name).keys
-}
-
-
 def _parse_s_range(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
@@ -366,9 +362,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         kv[key] = value
 
     base = fields(ExperimentConfig)
-    unknown = set(kv) - {f.name for f in base} - _ARM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for f in base:
         if f.default is MISSING and f.name not in kv:
             raise ConfigError(f"missing required key {f.name!r}")
@@ -378,6 +371,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     values["S_range"] = _parse_s_range(values["S_range"])
     arm_names = [tok.strip() for tok in values["optimizers"].split(",") if tok.strip()]
     values["optimizers"] = tuple(_build_arm(name, kv) for name in arm_names)
+    # A key no built arm holds (an unlisted arm's, or one Key.when drops) is
+    # unknown, so the echo of every config that loads gives every key back.
+    held = {f"{arm.name}.{key}" for arm in values["optimizers"] for key in arm.params}
+    unknown = set(kv) - {f.name for f in base} - held
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**values)
 
 

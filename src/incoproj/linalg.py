@@ -2,7 +2,8 @@
 
 Everything here operates on plain float64 ``numpy`` arrays.  Only
 :func:`as_matrix` and its callers check their input; the rest trust their
-callers for symmetry, a rank in ``[1, order]`` and matching shapes.
+callers for symmetry, a rank in ``[1, order]`` and matching shapes, and
+:func:`sqrt_factor` for a PSD input of rank at most its ``m``.
 Symmetric eigendecompositions go through :func:`top_eigh`, which fixes the
 eigenvector sign convention so that repeated runs (and repeated calls on
 the same data) produce bit-identical results.
@@ -16,7 +17,7 @@ import os
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPSD, ZeroColumn
+from .errors import ZeroColumn
 
 # Columns with norm at or below this are treated as zero.
 ZERO_TOL = 1e-12
@@ -122,21 +123,11 @@ def symmetric_rank_truncate(G, m: int) -> np.ndarray:
 def sqrt_factor(G, m: int) -> np.ndarray:
     """Factor a PSD matrix of rank <= ``m`` as ``S.T @ S`` with ``S`` of shape (m, k).
 
-    Rows of ``S`` beyond the numerical rank are zero.
-
-    Raises
-    ------
-    NotPSD
-        If the smallest retained eigenvalue is below ``-1e-8`` times the
-        largest one (with a small absolute floor), i.e. the matrix is not
-        positive semidefinite to working accuracy.
+    The caller makes ``G`` PSD with rank <= ``m``: eigenvalues that rounding
+    left negative count as zero, and rows of ``S`` beyond the rank are zero.
     """
     w, V = top_eigh(G, m)
-    lam_max = max(float(w[0]), 0.0)
-    if float(w[-1]) < -1e-8 * lam_max - 1e-12:
-        raise NotPSD(f"eigenvalue {w[-1]:.3e} too negative for sqrt factor")
-    w = np.clip(w, 0.0, None)
-    return np.sqrt(w)[:, None] * V.T
+    return np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
 
 
 def lsq_projection(S, D) -> np.ndarray:

@@ -10,7 +10,7 @@ from incoproj.altproj import (
     project_rank,
     recover_projection,
 )
-from incoproj.errors import DegenerateDiagonal, RankExceeded
+from incoproj.errors import DegenerateDiagonal
 
 from synthetic import gaussian_dictionary
 
@@ -75,18 +75,6 @@ class TestRecoverProjection:
         P = recover_projection(G, D, 4)
         H = (P @ D).T @ (P @ D)
         assert_allclose(H, G, atol=1e-8)
-
-    def test_rank_exceeded(self):
-        D = gaussian_dictionary(8, 14, 4)
-        G = np.eye(14)  # full rank; cannot be factored through m=4 rows
-        with pytest.raises(RankExceeded):
-            recover_projection(G, D, 4)
-
-    def test_rank_exceeded_by_negative_tail(self):
-        # rank 3 with a negative third eigenvalue: a rank-2 factor misses it
-        D = gaussian_dictionary(4, 3, 5)
-        with pytest.raises(RankExceeded):
-            recover_projection(np.diag([3.0, 2.0, -1.0]), D, 2)
 
 
 class TestOptimize:

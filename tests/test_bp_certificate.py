@@ -20,20 +20,25 @@ from oracles import certificate_value
 IPM_MAX_ITER = {("elad", 3, 94), ("sapiro", 2, 12), ("sapiro", 3, 91)}
 
 
-def certified_cells(S_range, N):
-    """Yield (arm name, BP cell, certificate value per trial) for test 06's sweep at ``S_range``."""
+def desk_slice(S_range, N, solver="bp"):
+    """Acceptance test 06's sweep, with its four arms, at ``S_range`` and ``N`` trials."""
     arms = (
         Arm("none"),
         Arm("elad", dict(mode="relative", percent=26.0, gamma=0.6, iterations=50, seed=7)),
         Arm("sapiro", dict(seed=7)),
         Arm("altproj", dict(t=0.3, iterations=300, seed=7)),
     )
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         n=50, k=100, m=12, S_range=S_range, N=N, dictionary_source="gaussian:1",
-        optimizers=arms, solver="bp", master_seed=1,
+        optimizers=arms, solver=solver, master_seed=1,
     )
+
+
+def certified_cells(S_range, N):
+    """Yield (arm name, BP cell, certificate value per trial) for test 06's sweep at ``S_range``."""
+    cfg = desk_slice(S_range, N)
     sweep = run_sweep(cfg)
-    D = load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
+    D = load_dictionary(cfg.dictionary_source, cfg.n, cfg.k)
     for arm in cfg.optimizers:
         Dn = normalize_columns(arm_projection(arm, D, cfg.m) @ D)
         for cell in (c for c in sweep.cells if c.optimizer_name == arm.name):

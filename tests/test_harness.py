@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -202,7 +203,25 @@ class TestFileSource:
         write_matrix(path, np.ones((3, 5)))
         cfg = tiny_config(dictionary_source=f"file:{path}")
         with pytest.raises(ConfigError):
-            load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
+            load_dictionary(cfg.dictionary_source, cfg.n, cfg.k)
+
+    @pytest.mark.parametrize(
+        "n, k, expected",
+        [(4, None, "(4, 5)"), (None, 6, "(3, 6)"), (4, 6, "(4, 6)")],
+        ids=["lone_n", "lone_k", "both"],
+    )
+    def test_each_given_size_is_checked(self, tmp_path, n, k, expected):
+        path = tmp_path / "dict.csv"
+        write_matrix(path, np.ones((3, 5)))
+        message = f"dictionary file {path} has shape (3, 5), expected {expected}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_dictionary(f"file:{path}", n, k)
+
+    @pytest.mark.parametrize("n, k", [(None, None), (3, None), (None, 5), (3, 5)])
+    def test_matching_sizes_load(self, tmp_path, n, k):
+        path = tmp_path / "dict.csv"
+        write_matrix(path, np.ones((3, 5)))
+        assert load_dictionary(f"file:{path}", n, k).shape == (3, 5)
 
     def test_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -210,7 +229,7 @@ class TestFileSource:
         path = tmp_path / "dict.csv"
         write_matrix(path, D)
         cfg = tiny_config(dictionary_source=f"file:{path}")
-        assert_allclose(load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k)), D, rtol=1e-12)
+        assert_allclose(load_dictionary(cfg.dictionary_source, cfg.n, cfg.k), D, rtol=1e-12)
 
 
 def trial_records(sweep) -> list[dict]:
@@ -460,7 +479,7 @@ class TestConfigParsing:
         assert elad_arm.params["gamma"] == 0.6  # default
         assert elad_arm.params["iterations"] == 4
         # arms carry no m: each projection gets the experiment's
-        D = load_dictionary(cfg.dictionary_source, (cfg.n, cfg.k))
+        D = load_dictionary(cfg.dictionary_source, cfg.n, cfg.k)
         for arm in cfg.optimizers:
             assert arm_projection(arm, D, cfg.m).shape == (4, 6)
         assert alt_arm.params["t"] == 0.45
@@ -489,6 +508,10 @@ class TestConfigParsing:
             lambda t: t.replace("optimizers = none, elad, altproj", "optimizers = magic"),
             lambda t: t.replace("elad.mode = fixed", "elad.mode = adaptive"),
             lambda t: t.replace("solver = omp", "solver = lasso"),
+            # keys that no listed arm reads: elad's, with elad unlisted, and
+            # elad.t, which belongs to fixed mode
+            lambda t: t.replace("optimizers = none, elad, altproj", "optimizers = none, altproj"),
+            lambda t: t.replace("elad.mode = fixed", "elad.mode = relative"),
         ],
     )
     def test_malformed_documents_rejected(self, mutation):
@@ -614,15 +637,19 @@ class TestCLI:
         )
         assert not (tmp_path / "out" / "projection.csv").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--n", "8"), ("--k", "12")])
-    def test_design_dict_file_must_match_a_lone_n_or_k(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [("--n", "8", "(8, 60)"), ("--k", "12", "(30, 12)")],
+        ids=["--n-8", "--k-12"],
+    )
+    def test_design_dict_file_must_match_a_lone_n_or_k(self, tmp_path, capsys, flag, value, expected):
         dict_path = tmp_path / "D.csv"
         write_matrix(dict_path, np.random.default_rng(2).standard_normal((30, 60)))
         rc = main(["design", "--method", "sapiro", "--dict", str(dict_path), flag, value,
                    "--m", "4", "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: dictionary file {dict_path} has shape (30, 60), but {flag} is {value}\n"
+            f"error: dictionary file {dict_path} has shape (30, 60), expected {expected}\n"
         )
         assert not (tmp_path / "out").exists()
 

@@ -15,8 +15,6 @@ ENTRY_POINTS = {
     "IncoprojError",
     "InvalidRank",
     "NotFound",
-    "NotPSD",
-    "RankExceeded",
     "RecoveryResult",
     "RecoveryStatus",
     "SingularSystem",
@@ -58,7 +56,7 @@ MODULE_ONLY = {
 
 
 def test_root_exports_exactly_the_entry_points():
-    assert len(incoproj.__all__) == len(ENTRY_POINTS) == 37
+    assert len(incoproj.__all__) == len(ENTRY_POINTS) == 35
     assert set(incoproj.__all__) == ENTRY_POINTS
 
 
