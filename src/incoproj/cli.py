@@ -25,24 +25,29 @@ PAPER_SCALE = dict(n=200, k=400, m=30, N=10000, S_range=tuple(range(1, 11)))
 
 
 def _arm(name: str, args, **flags) -> Arm:
-    """Arm for optimizer ``name`` from the shared flags that were set plus ``flags``.
+    """Arm ``name`` from the shared flags that were set plus ``flags``; it rejects one it does not read.
 
-    Only ``name``'s keys are kept; the registry fills in the rest.
+    An unset ``iterations`` or ``seed`` that it reads takes the CLI default, 50 or 0.
     """
-    values = {**{flag: getattr(args, flag) for flag in _OPTIMIZER_FLAGS}, **flags}
-    keys = [key.name for key in OPTIMIZERS[name].keys]
-    return Arm(name, {key: values[key] for key in keys if values.get(key) is not None})
+    keys = {key.name for key in OPTIMIZERS[name].keys}
+    values = {key: value for key, value in dict(iterations=50, seed=0).items() if key in keys}
+    given = {**{flag: getattr(args, flag) for flag in ("mode", "t", "percent", "gamma")}, **flags}
+    return Arm(name, {**values, **{key: value for key, value in given.items() if value is not None}})
 
 
 def _cmd_design(args) -> int:
     if args.dict:
+        if args.dict_seed is not None:
+            raise ConfigError("--dict-seed draws a generated dictionary; it cannot be set with --dict")
         D = load_dictionary(f"file:{args.dict}", args.n, args.k)
     elif args.n is None or args.k is None:
         raise ConfigError("provide --dict FILE or both --n and --k")
     else:
         seed = derive_seed(0, "cli-dictionary") if args.dict_seed is None else args.dict_seed
         D = load_dictionary(f"gaussian:{SEED.parse(seed, '--dict-seed')}", args.n, args.k)
-    arm = _arm(args.method, args, iterations=args.iterations, seed=args.seed)
+    arm = _arm(args.method, args, t=None, iterations=args.iterations, seed=args.seed)
+    if args.t is not None and "t" in arm.params:  # else --t only sets the mu_t report
+        arm = Arm(arm.name, {**arm.params, "t": args.t})
     P, trace = design(arm, D, args.m)
     G = gram(P @ D)
     mu, _ = mutual_coherence(G)
@@ -101,10 +106,10 @@ def _cmd_coupled(args) -> int:
     X = read_matrix(args.signals)
     Y = read_matrix(args.measurements)
     flags = dict(iterations=args.inner_iterations, seed=args.inner_seed)
-    if args.inner == "fixed":
-        if not args.proj:
-            raise ConfigError("--inner fixed requires --proj FILE")
+    if args.proj:
         flags["P"] = read_matrix(args.proj)
+    elif args.inner == "fixed":
+        raise ConfigError("--inner fixed requires --proj FILE")
     inner = _arm(args.inner, args, **flags)
 
     P, D, Theta, trace = coupled_ksvd(
@@ -119,12 +124,8 @@ def _cmd_coupled(args) -> int:
     return 0
 
 
-# The elad/altproj flags that ``design`` and ``coupled`` share.  An unset
-# flag leaves its key to the registry default.
-_OPTIMIZER_FLAGS = ("mode", "t", "percent", "gamma")
-
-
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
+    """The elad/altproj flags that ``design`` and ``coupled`` share; unset, each takes its registry default."""
     p.add_argument("--mode", choices=["fixed", "relative"], help="elad threshold mode")
     p.add_argument("--t", type=float, help=f"threshold (fixed mode / altproj; default {DEFAULT_T})")
     p.add_argument("--percent", type=float, help="relative-mode percentile")
@@ -147,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict-seed", type=int, default=None)
     p.add_argument("--m", type=int, required=True, help="projection rows")
     _add_optimizer_flags(p)
-    p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=int, help="optimizer iterations (default 50)")
+    p.add_argument("--seed", type=int, help="optimizer seed (default 0)")
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_design)
@@ -189,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     inners = [name for name in OPTIMIZERS if name != "none"]
     p.add_argument("--inner", choices=inners, default="sapiro")
-    p.add_argument("--inner-seed", type=int, default=0)
-    p.add_argument("--inner-iterations", type=int, default=50)
+    p.add_argument("--inner-seed", type=int, help="inner optimizer seed (default 0)")
+    p.add_argument("--inner-iterations", type=int, help="inner optimizer iterations (default 50)")
     _add_optimizer_flags(p)
     p.add_argument("--proj", help="projection matrix CSV for --inner fixed")
     p.set_defaults(func=_cmd_coupled)

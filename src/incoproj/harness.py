@@ -343,8 +343,8 @@ def _parse_s_range(text: str) -> tuple[int, ...]:
 
 
 def _build_arm(name: str, kv: dict) -> Arm:
-    names = {key.name: f"{name}.{key.name}" for key in lookup(name, SWEEP_OPTIMIZERS).keys}
-    return Arm(name, {key: kv[conf] for key, conf in names.items() if conf in kv})
+    prefix = f"{lookup(name, SWEEP_OPTIMIZERS).name}."
+    return Arm(name, {key[len(prefix):]: value for key, value in kv.items() if key.startswith(prefix)})
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -371,10 +371,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     values["S_range"] = _parse_s_range(values["S_range"])
     arm_names = [tok.strip() for tok in values["optimizers"].split(",") if tok.strip()]
     values["optimizers"] = tuple(_build_arm(name, kv) for name in arm_names)
-    # A key no built arm holds (an unlisted arm's, or one Key.when drops) is
-    # unknown, so the echo of every config that loads gives every key back.
-    held = {f"{arm.name}.{key}" for arm in values["optimizers"] for key in arm.params}
-    unknown = set(kv) - {f.name for f in base} - held
+    # Each arm rejects its own unread keys; a key of no listed arm is unknown.
+    # So the echo of every config that loads gives every key back.
+    prefixes = tuple(f"{name}." for name in arm_names)
+    unknown = {key for key in set(kv) - {f.name for f in base} if not key.startswith(prefixes)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**values)

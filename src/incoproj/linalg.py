@@ -83,7 +83,6 @@ def gram(M) -> np.ndarray:
     """Gram matrix of the column-normalized input: symmetric, unit diagonal."""
     N = normalize_columns(M)
     G = N.T @ N
-    G = 0.5 * (G + G.T)
     np.fill_diagonal(G, 1.0)
     return G
 
@@ -92,11 +91,10 @@ def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest-``m`` eigenpairs of a symmetric matrix with a fixed convention.
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted non-increasing and
-    each eigenvector's first nonzero component made positive.  The input
-    is symmetrized before factorization; ``m`` at or above its order gives
-    the full decomposition.
+    each eigenvector's first nonzero component made positive.  The caller
+    gives a symmetric ``A`` (LAPACK reads only its lower triangle); ``m`` at
+    or above its order gives the full decomposition.
     """
-    A = 0.5 * (A + A.T)
     k = A.shape[0]
     if m >= k:
         w, V = np.linalg.eigh(A)

@@ -35,8 +35,8 @@ class Key:
     harness derives unset seeds from the master seed, and the fixed
     projection needs its matrix.  ``choices`` restricts a string key.
     ``when = (other, value)`` makes the key apply only while key ``other``
-    has that value; otherwise the arm drops it.  ``bounds = (lo, hi)`` is
-    the open interval a number must lie in.
+    has that value; otherwise the arm leaves it out, and rejects it if
+    given.  ``bounds = (lo, hi)`` is the open interval a number must lie in.
     """
 
     name: str
@@ -83,27 +83,27 @@ class Arm:
 
     ``params`` is normalized on construction, in the entry's key order:
     each value takes its key's type, unset keys take their defaults, and
-    keys that do not apply (``Key.when``) are dropped.  A value of the
-    wrong type or outside its key's choices or bounds is rejected here,
-    before any arm runs.
+    the defaults of keys that do not apply (``Key.when``) are dropped.  A
+    given key that the arm does not read (the entry has no such key, or
+    ``Key.when`` rules it out), or a value of the wrong type or outside
+    its key's choices or bounds, is rejected here, before any arm runs.
     """
 
     name: str
     params: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        entry = lookup(self.name)
-        unknown = set(self.params) - {key.name for key in entry.keys}
-        if unknown:
-            raise ConfigError(f"unknown {self.name} keys: {sorted(unknown)}")
         params: dict = {}
-        for key in entry.keys:
+        for key in lookup(self.name).keys:
             if key.when and params[key.when[0]] != key.when[1]:
                 continue
             value = self.params.get(key.name, key.default)
             if value is not None:
                 value = key.parse(value, f"{self.name}.{key.name}")
             params[key.name] = value
+        unknown = set(self.params) - set(params)
+        if unknown:
+            raise ConfigError(f"unknown {self.name} keys: {sorted(unknown)}")
         object.__setattr__(self, "params", params)
 
 

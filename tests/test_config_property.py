@@ -38,9 +38,15 @@ def key_values(key):
     return st.floats(lo, hi, exclude_min=True, exclude_max=True)
 
 
-def arms(name):
-    keys = {key.name: key_values(key) for key in lookup(name).keys}
-    return st.fixed_dictionaries({}, optional=keys).map(lambda params: Arm(name, params))
+@st.composite
+def arms(draw, name):
+    """An arm with any subset of its keys; a key that ``Key.when`` rules out is not drawn."""
+    params = {}
+    for key in lookup(name).keys:
+        applies = key.when is None or params.get(key.when[0], Arm(name).params[key.when[0]]) == key.when[1]
+        if applies and draw(st.booleans()):
+            params[key.name] = draw(key_values(key))
+    return Arm(name, params)
 
 
 @st.composite

@@ -568,28 +568,12 @@ class TestConfigParsing:
 
 class TestCLI:
     def run_design(self, out_dir, method="elad", t="0.35"):
+        # each method is given only the optimizer flags it reads
+        mode = ["--mode", "fixed"] if method == "elad" else []
+        iterations = [] if method == "sapiro" else ["--iterations", "4"]
         return main(
-            [
-                "design",
-                "--method",
-                method,
-                "--n",
-                "8",
-                "--k",
-                "12",
-                "--dict-seed",
-                "3",
-                "--m",
-                "4",
-                "--mode",
-                "fixed",
-                "--t",
-                t,
-                "--iterations",
-                "4",
-                "--out-dir",
-                str(out_dir),
-            ]
+            ["design", "--method", method, "--n", "8", "--k", "12", "--dict-seed", "3", "--m", "4",
+             *mode, "--t", t, *iterations, "--out-dir", str(out_dir)]
         )
 
     def test_design_writes_artifacts(self, tmp_path, capsys):
@@ -700,6 +684,48 @@ class TestCLI:
         assert main([command, *args, *flags, "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("design", ["--method", "sapiro", "--mode", "fixed", "--gamma", "0.5"],
+         "unknown sapiro keys: ['gamma', 'mode']"),
+        ("design", ["--method", "sapiro", "--iterations", "7"], "unknown sapiro keys: ['iterations']"),
+        ("coupled", ["--inner", "sapiro", "--percent", "40"], "unknown sapiro keys: ['percent']"),
+        ("coupled", ["--inner", "sapiro", "--proj", "P.csv"], "unknown sapiro keys: ['P']"),
+        ("coupled", ["--inner", "fixed", "--proj", "P.csv", "--inner-seed", "3"],
+         "unknown fixed keys: ['seed']"),
+        ("coupled", ["--inner", "elad", "--t", "0.3"], "unknown elad keys: ['t']"),
+        ("design", ["--method", "sapiro", "--dict", "D.csv", "--dict-seed", "5"],
+         "--dict-seed draws a generated dictionary; it cannot be set with --dict"),
+    ], ids=["design-sapiro-mode-gamma", "design-sapiro-iterations", "coupled-sapiro-percent",
+            "coupled-sapiro-proj", "coupled-fixed-inner-seed", "coupled-elad-relative-t",
+            "design-dict-seed-with-dict"])
+    def test_set_flags_that_nothing_reads_rejected(self, tmp_path, monkeypatch, capsys, command, flags, message):
+        monkeypatch.chdir(tmp_path)
+        X = np.random.default_rng(9).standard_normal((6, 40))
+        write_matrix("X.csv", X)
+        write_matrix("Y.csv", X[:3])
+        write_matrix("P.csv", np.random.default_rng(4).standard_normal((3, 6)))
+        write_matrix("D.csv", np.random.default_rng(2).standard_normal((8, 12)))
+        args = {
+            "design": ["design", "--m", "4"] + ([] if "--dict" in flags else ["--n", "8", "--k", "12"]),
+            "coupled": ["coupled", "--signals", "X.csv", "--measurements", "Y.csv", "--atoms", "8",
+                        "--sparsity", "2", "--outer", "1"],
+        }[command]
+        assert main([*args, *flags, "--out-dir", "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_t_is_given_where_read_and_reported_by_design(self, tmp_path, capsys):
+        X = np.random.default_rng(9).standard_normal((6, 40))
+        write_matrix(tmp_path / "X.csv", X)
+        write_matrix(tmp_path / "Y.csv", X[:3])
+        assert main(["coupled", "--signals", str(tmp_path / "X.csv"), "--measurements", str(tmp_path / "Y.csv"),
+                     "--atoms", "8", "--sparsity", "2", "--outer", "1", "--inner", "elad", "--mode", "fixed",
+                     "--t", "0.3", "--inner-iterations", "2", "--out-dir", str(tmp_path / "coupled")]) == 0
+        # elad in relative mode reads no t: --t sets only the reported threshold
+        assert main(["design", "--method", "elad", "--t", "0.3", "--n", "8", "--k", "12", "--m", "4",
+                     "--iterations", "2", "--out-dir", str(tmp_path / "design")]) == 0
+        assert "mu_t[0.3]=" in capsys.readouterr().out.splitlines()[-1]
 
     @pytest.mark.parametrize("method, kept, defaults", [
         ("elad", [], ["--mode", "relative", "--percent", "26", "--gamma", "0.6"]),

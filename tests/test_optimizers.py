@@ -25,10 +25,14 @@ class TestArm:
         )
         assert Arm("altproj").params == dict(t=0.26, iterations=300, seed=None)
 
-    def test_inactive_mode_keys_dropped(self):
-        assert "t" not in Arm("elad", {"t": 0.3}).params
+    def test_inapplicable_defaults_dropped_and_given_keys_rejected(self):
+        assert "t" not in Arm("elad").params
+        assert "percent" not in Arm("elad", {"mode": "fixed"}).params
         assert Arm("elad", {"mode": "fixed", "t": 0.3}).params["t"] == 0.3
-        assert "percent" not in Arm("elad", {"mode": "fixed", "percent": 40}).params
+        with pytest.raises(ConfigError, match=r"^unknown elad keys: \['t'\]$"):
+            Arm("elad", {"t": 0.3})
+        with pytest.raises(ConfigError, match=r"^unknown elad keys: \['percent'\]$"):
+            Arm("elad", {"mode": "fixed", "percent": 40})
 
     def test_values_take_key_types(self):
         arm = Arm("elad", {"percent": "30", "iterations": "7", "seed": np.int64(3)})
