@@ -86,18 +86,19 @@ def trace_coherence(mags: np.ndarray, t: float) -> tuple[float, float]:
 
 
 def relative_threshold(mags: np.ndarray, percent: float) -> float:
-    """Threshold ``t`` such that ~``percent``% of the magnitudes ``mags`` lie strictly above it.
+    """Positive threshold ``t`` such that ~``percent``% of the magnitudes ``mags`` lie strictly above it.
 
     ``mags`` is a Gram's :func:`offdiag_magnitudes`, which elad's relative
-    mode also feeds to :func:`trace_coherence`.  With the magnitudes
-    sorted in decreasing order, the target count is
+    mode also feeds to :func:`trace_coherence`.  The target count is
     ``c = ceil(percent/100 * count)`` and ``t`` is the ``(c+1)``-th largest
-    magnitude (0 if that runs off the end).  Ties at ``t`` leave fewer
-    than ``c`` magnitudes strictly above it.  The registry bounds ``percent``.
+    magnitude; where that runs off the end or is zero, ``t`` is the
+    smallest magnitude, at least 1e-12, so elad's shrink still has a
+    positive threshold.  Ties at ``t`` leave fewer than ``c`` magnitudes
+    strictly above it.  The registry bounds ``percent``.
     """
-    mags = np.sort(mags)[::-1]
-    c = int(np.ceil(percent / 100.0 * mags.size))
-    return float(mags[c]) if c < mags.size else 0.0
+    rank = mags.size - 1 - int(np.ceil(percent / 100.0 * mags.size))  # ascending position
+    t = float(np.partition(mags, rank)[rank]) if rank >= 0 else 0.0
+    return t if t > 0.0 else max(float(mags.min()), 1e-12)
 
 
 def offdiag_histogram(G, bins: int) -> list[tuple[float, int]]:

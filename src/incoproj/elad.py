@@ -29,13 +29,6 @@ def shrink_elad(g, t: float, gamma: float):
     return out
 
 
-def _shrink_offdiag(G: np.ndarray, t: float, gamma: float) -> np.ndarray:
-    """Apply shrink_elad off the diagonal, leaving the (unit) diagonal alone."""
-    out = shrink_elad(G, t, gamma)
-    np.fill_diagonal(out, np.diag(G))
-    return out
-
-
 def _effective_gram(P: np.ndarray, D: np.ndarray, q: int) -> np.ndarray:
     """Gram of the normalized columns of P @ D; ZeroColumn names iteration q."""
     try:
@@ -81,11 +74,9 @@ def elad_optimize(
     for q in range(iterations):
         if mode == "relative":
             t = relative_threshold(mags, percent)
-            if t <= 0.0:
-                # Order statistic ran off the end; fall back to the smallest
-                # magnitude so the shrink still has a valid positive t.
-                t = max(float(mags.min()), 1e-12)
-        shrunk = _shrink_offdiag(G, t, gamma)
+        # Shrink the off-diagonals only; the (unit) diagonal stays.
+        shrunk = shrink_elad(G, t, gamma)
+        np.fill_diagonal(shrunk, np.diag(G))
         reduced = symmetric_rank_truncate(shrunk, m)
         S = sqrt_factor(reduced, m)
         P = S @ Dpinv

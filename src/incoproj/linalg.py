@@ -2,11 +2,11 @@
 
 Everything here operates on plain float64 ``numpy`` arrays.  Only
 :func:`as_matrix` and its callers check their input; the rest trust their
-callers for symmetry, a rank in ``[1, order]`` and matching shapes, and
-:func:`sqrt_factor` for a PSD input of rank at most its ``m``.
-Symmetric eigendecompositions go through :func:`top_eigh`, which fixes the
-eigenvector sign convention so that repeated runs (and repeated calls on
-the same data) produce bit-identical results.
+callers for finite entries, symmetry, a rank in ``[1, order]`` and
+matching shapes, and :func:`sqrt_factor` for a PSD input of rank at most
+its ``m``.  Symmetric eigendecompositions go through :func:`top_eigh`,
+which fixes the eigenvector sign convention so that repeated runs (and
+repeated calls on the same data) produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -92,14 +92,14 @@ def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted non-increasing and
     each eigenvector's first nonzero component made positive.  The caller
-    gives a symmetric ``A`` (LAPACK reads only its lower triangle); ``m`` at
-    or above its order gives the full decomposition.
+    gives a symmetric, finite ``A`` (LAPACK reads only its lower triangle);
+    ``m`` at or above its order gives the full decomposition.
     """
     k = A.shape[0]
     if m >= k:
         w, V = np.linalg.eigh(A)
     else:
-        w, V = scipy.linalg.eigh(A, subset_by_index=(k - m, k - 1))
+        w, V = scipy.linalg.eigh(A, subset_by_index=(k - m, k - 1), check_finite=False)
     V = np.array(V[:, ::-1])
     first = np.argmax(V != 0.0, axis=0)
     V[:, V[first, np.arange(V.shape[1])] < 0] *= -1.0

@@ -142,10 +142,14 @@ class TestRelativeThreshold:
             if not tied and want < mags.size:
                 assert got == want
 
-    def test_rank_off_the_end_gives_zero(self):
+    def test_rank_off_the_end_gives_the_smallest_magnitude(self):
         mags = offdiag_magnitudes(gram_with_offdiags([0.9, 0.5, 0.1]))
         t = relative_threshold(mags, 99.9)  # ceil(2.997) = 3 = population
-        assert t == 0.0
+        assert t == 0.1
+
+    def test_all_zero_magnitudes_give_a_positive_floor(self):
+        mags = offdiag_magnitudes(np.eye(3))
+        assert relative_threshold(mags, 50.0) == 1e-12
 
 
 class TestHistogramAndReport:

@@ -74,6 +74,14 @@ class TestOptimize:
         assert len(np.unique(trace.threshold)) > 1
         assert np.all(trace.threshold >= 0.0)
 
+    def test_relative_mode_with_one_pair_shrinks_at_its_magnitude(self):
+        # k = 2 has one pair, so every order statistic runs off the end and
+        # the threshold falls back to that pair's magnitude
+        D = gaussian_dictionary(4, 2, 3)
+        _, trace = elad_optimize(D, 2, mode="relative", percent=30.0, gamma=0.6, iterations=2, seed=5)
+        P0 = np.random.default_rng(5).standard_normal((2, 4))  # elad's starting P for seed 5
+        assert trace.threshold[0] == abs(gram(P0 @ D)[0, 1])
+
     def test_seed_determinism(self):
         D = gaussian_dictionary(9, 18, 4)
         params = dict(mode="fixed", t=0.3, gamma=0.7, iterations=10, seed=42)

@@ -169,7 +169,7 @@ class TestDesign:
         def step(*args):
             raise AssertionError("an iteration ran")
 
-        monkeypatch.setattr(elad, "_shrink_offdiag", step)
+        monkeypatch.setattr(elad, "shrink_elad", step)
         monkeypatch.setattr(altproj, "project_convex", step)
         D = np.random.default_rng(0).standard_normal((10, 6))  # m = 7 <= n, but a k = 6 Gram has rank <= 6
         with pytest.raises(InvalidRank, match=r"^m=7 exceeds k=6: a Gram of k atoms has rank at most k$"):
