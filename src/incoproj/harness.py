@@ -4,14 +4,15 @@ through the pursuit solvers, aggregate success/error statistics.
 The protocol per arm: obtain P (random Gaussian, or one of the three
 optimizers run on D), form the effective dictionary P @ D, re-normalize
 its columns, then for every sparsity level S and trial recover the
-planted coefficients from y = P x.  Signals are generated once per S from
-a seed derived off the master seed, so every arm sees the same planted
-(theta, x) pairs — a paired comparison.
+planted coefficients from y = P x.  Each (arm, S) cell re-draws its
+level's signals from a seed derived off the master seed and S, so every
+arm sees the same planted (theta, x) pairs — a paired comparison.
 """
 
 import hashlib
 import math
 import os
+import time
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
 
@@ -143,7 +144,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class Cell:
-    """One (arm, solver, S) cell: its N paired trials as columns, in trial order."""
+    """One (arm, solver, S) cell: its N paired trials as columns, in trial order, and
+    ``solve_s``, the wall-clock seconds its solves took, the one field reruns change."""
 
     optimizer_name: str
     solver_name: str
@@ -152,6 +154,7 @@ class Cell:
     relative_error: np.ndarray
     success: np.ndarray
     status: tuple[str, ...]
+    solve_s: float = 0.0
 
     @property
     def trial_count(self) -> int:
@@ -237,7 +240,7 @@ def synthesize_signals(D, S: int, N: int, rng: np.random.Generator) -> list[tupl
 
 
 def run_sweep(cfg: ExperimentConfig) -> Sweep:
-    """Run every (arm, S, trial, solver) combination, one (arm, S) block at a time.
+    """Run every (arm, S, trial, solver) combination, one (arm, S) cell at a time.
 
     Identical master seeds give identical planted signals in every arm, and
     the whole sweep is deterministic.  A trial whose solve raises any
@@ -254,36 +257,42 @@ def run_sweep(cfg: ExperimentConfig) -> Sweep:
             P = arm_projection(arm, D, cfg.m)
             Dhat = P @ D
             norms = column_norms(Dhat, "effective dictionary")
-            Dn = Dhat / norms
-            histograms[arm.name], arm_failure = offdiag_histogram(gram(Dhat), 50), None
+            histograms[arm.name], built = offdiag_histogram(gram(Dhat), 50), (P, Dhat / norms, norms)
         except Exception as exc:
-            histograms[arm.name], arm_failure = [], _failed(exc)
+            histograms[arm.name], built = [], exc
         for S in cfg.S_range:
-            # Each block re-draws its level's pairs from the same seed, so
-            # every arm sees the same signals without keeping them all.
-            seed = derive_seed(cfg.master_seed, "signals", S)
-            outcomes = [[arm_failure] * cfg.N for _ in cfg.solvers]  # [solver][trial]
-            if arm_failure is None:
-                signals = synthesize_signals(D, S, cfg.N, np.random.default_rng(seed))
-                for i, (theta, x) in enumerate(signals):
-                    y = P @ x
-                    for j, solver_name in enumerate(cfg.solvers):
-                        try:
-                            res = omp(Dn, y, S) if solver_name == "omp" else basis_pursuit(Dn, y)
-                            theta_hat = res.theta_hat / norms
-                            denom = float(np.linalg.norm(theta))
-                            if denom > 0.0:
-                                rel_err = float(np.linalg.norm(theta_hat - theta)) / denom
-                            else:
-                                rel_err = 0.0 if not np.any(theta_hat) else float("inf")
-                            outcomes[j][i] = (rel_err, res.status.value)
-                        except Exception as exc:
-                            outcomes[j][i] = _failed(exc)
-            for name, column in zip(cfg.solvers, outcomes):
-                errors, statuses = np.array([e for e, _ in column]), tuple(s for _, s in column)
-                cells.append(Cell(arm.name, name, S, seed, errors, errors <= cfg.failure_threshold, statuses))
+            cells += _cell(cfg, arm.name, D, built, S)
 
     return Sweep(tuple(cells), histograms, config_echo(cfg))
+
+
+def _cell(cfg: ExperimentConfig, name: str, D, built, S: int) -> list[Cell]:
+    """Arm ``name``'s cells at level S, one per solver; ``built`` is the arm's
+    ``(P, Dn, norms)``, or the exception that failed it and so every trial."""
+    seed = derive_seed(cfg.master_seed, "signals", S)
+    if isinstance(built, Exception):
+        error, status = _failed(built)
+        return [Cell(name, solver, S, seed, np.full(cfg.N, error), np.zeros(cfg.N, bool), (status,) * cfg.N)
+                for solver in cfg.solvers]
+    P, Dn, norms = built
+    outcomes = [[] for _ in cfg.solvers]  # [solver][trial]
+    solve_s = [0.0] * len(cfg.solvers)
+    for theta, x in synthesize_signals(D, S, cfg.N, np.random.default_rng(seed)):
+        y, denom = P @ x, float(np.linalg.norm(theta))
+        for j, solver_name in enumerate(cfg.solvers):
+            start = time.perf_counter()
+            try:
+                res = omp(Dn, y, S) if solver_name == "omp" else basis_pursuit(Dn, y)
+                theta_hat = res.theta_hat / norms
+                rel_err = (float(np.linalg.norm(theta_hat - theta)) / denom if denom > 0.0
+                           else 0.0 if not np.any(theta_hat) else math.inf)
+                outcomes[j].append((rel_err, res.status.value))
+            except Exception as exc:
+                outcomes[j].append(_failed(exc))
+            solve_s[j] += time.perf_counter() - start
+    return [Cell(name, solver, S, seed, errors := np.array([e for e, _ in column]),
+                 errors <= cfg.failure_threshold, tuple(s for _, s in column), seconds)
+            for solver, column, seconds in zip(cfg.solvers, outcomes, solve_s)]
 
 
 def _failed(exc: Exception) -> tuple[float, str]:

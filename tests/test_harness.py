@@ -1,6 +1,7 @@
 import csv
 import re
-from dataclasses import replace
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,21 @@ class TestRunSweep:
         for hist in sweep.arm_histograms.values():
             assert sum(count for _, count in hist) == 12 * 11 // 2
 
+    def test_reruns_differ_only_in_solve_time_which_the_sweep_wall_time_bounds(self):
+        runs = []
+        for _ in range(2):
+            start = time.perf_counter()
+            sweep = run_sweep(tiny_config())
+            wall_s = time.perf_counter() - start
+            assert 0.0 < sum(c.solve_s for c in sweep.cells) <= wall_s
+            runs.append(sweep)
+        first, second = runs
+        assert len(first.cells) == len(second.cells) == 4
+        for a, b in zip(first.cells, second.cells):
+            for f in fields(a):
+                if f.name != "solve_s":
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
     def test_statuses_are_solver_outcomes(self):
         sweep = run_sweep(tiny_config())
         assert {r["status"] for r in trial_records(sweep)} <= {s.value for s in RecoveryStatus}
@@ -366,6 +382,7 @@ class TestRunSweep:
         for cell in bad:
             assert cell.status == (f"error:{error}",) * cfg.N
             assert np.all(cell.relative_error == np.inf) and not np.any(cell.success)
+            assert cell.solve_s == 0.0
         # no solve ran for the failed arm, and the sweep went on: the next
         # arm's cells are those of a sweep without the failed arm
         assert len(solves) == len(list(healthy.trial_rows()))
@@ -376,6 +393,7 @@ class TestRunSweep:
         for got, want in zip(rest, healthy.cells):
             assert np.array_equal(got.relative_error, want.relative_error)
             assert np.array_equal(got.success, want.success)
+            assert got.solve_s > 0.0
         emit_reports(sweep, tmp_path)
         assert (tmp_path / f"gram_hist_{failed}.csv").read_text() == "bin_lower,count\n"
 

@@ -5,8 +5,10 @@ a traced benchmark run fails when a span its metrics need was not
 recorded, or when the sweep's solve spans do not pair with the rows of
 ``trials.csv``.  These tests run tiny versions of the workloads' jobs
 under the tracer, so that a change which renames, deletes or moves a
-traced call fails here, not only in the benchmark.  The tracer is
-imported as it is, never changed.
+traced call fails here, not only in the benchmark.  The sweep's own
+per-cell solve times (``Cell.solve_s``) are checked against the spans
+too, so the benchmark can read them in place of the pairing.  The tracer
+is imported as it is, never changed.
 """
 
 import csv
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incoproj import cli
+from incoproj import cli, harness
 from incoproj.matrixio import write_matrix
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -85,6 +87,25 @@ def test_a_failed_arm_keeps_the_paper_scale_extrapolation(tmp_path):
     with open(out / "trials.csv", newline="") as fh:
         trials = list(csv.DictReader(fh))
     assert tracer.paper_scale_extrapolation(ix, 0.0, trials) is not None
+
+
+ALTPROJ_M1 = (Path(__file__).resolve().parent / "golden" / "inputs" / "altproj-m1.cfg").read_text()
+
+
+@pytest.mark.parametrize("config", [SWEEP_CONFIG, ALTPROJ_M1], ids=["sweep", "altproj-m1"])
+def test_cells_time_their_own_solves_inside_the_sweep_span(config):
+    # Each cell's solve_s covers its solve spans and nothing outside the
+    # sweep, so it reads where the span-to-row pairing does not (a failed arm)
+    cfg = harness.parse_config_text(config)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        sweep = harness.run_sweep(cfg)
+    finally:
+        tr.uninstall()
+    ix = tracer.SpanIndex(tr.spans)
+    solves = ix.busy("pursuit.omp", "pursuit.basis_pursuit")
+    assert 0.0 < solves <= sum(c.solve_s for c in sweep.cells) <= ix.busy("harness.run_sweep")
 
 
 def test_learning_records_every_span(tmp_path):
