@@ -71,7 +71,7 @@ def atom_update_sweep(
         omega = np.flatnonzero(row)
         if omega.size:
             E = R[:, omega] + A[:, j, None] * row[omega]
-            u = top_eigh(E @ E.T, E.shape[0])[1][:, 0]
+            u = top_eigh(E @ E.T, 1)[1][:, 0]
             d, nrm = (u, 1.0) if solve is None else _with_norm(solve(u))
             if nrm > ZERO_TOL:
                 D[:, j] = d / nrm

@@ -15,7 +15,8 @@ import ctypes
 import glob
 import os
 import numpy as np
-import scipy.linalg
+import scipy
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .errors import ZeroColumn
 
@@ -93,13 +94,20 @@ def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, V)`` with eigenvalues ``w`` sorted non-increasing and
     each eigenvector's first nonzero component made positive.  The caller
     gives a symmetric, finite ``A`` (LAPACK reads only its lower triangle);
-    ``m`` at or above its order gives the full decomposition.
+    ``m`` at or above its order gives the full decomposition.  A subset is
+    one ``dsyevr`` call with its queried workspace, the call that
+    ``scipy.linalg.eigh(A, subset_by_index=...)`` makes after its checks.
     """
     k = A.shape[0]
     if m >= k:
         w, V = np.linalg.eigh(A)
     else:
-        w, V = scipy.linalg.eigh(A, subset_by_index=(k - m, k - 1), check_finite=False)
+        lwork, liwork, _ = dsyevr_lwork(k, lower=1)
+        w, V, found, _, info = dsyevr(A, compute_v=1, range="I", il=k - m + 1, iu=k, lower=1,
+                                      lwork=int(lwork), liwork=liwork)
+        if info:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+        w, V = w[:found], V[:, :found]
     V = np.array(V[:, ::-1])
     first = np.argmax(V != 0.0, axis=0)
     V[:, V[first, np.arange(V.shape[1])] < 0] *= -1.0

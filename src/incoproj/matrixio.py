@@ -20,11 +20,17 @@ import numpy as np
 from .linalg import as_matrix
 
 
+# A matrix cell's text: +0.0 as one preformatted token (most coefficient
+# entries are +0.0), and every other value, -0.0 included, as "%.16e".
+_CELLS = np.array(["%.16e" % 0.0, "%.16e"], dtype=object)
+
+
 def write_matrix(path: str | os.PathLike, M) -> None:
     M = as_matrix(M)
-    line = ",".join(["%.16e"] * M.shape[1]) + "\n"
+    formatted = (M != 0.0) | np.signbit(M)
+    template = "".join(",".join(row) + "\n" for row in _CELLS[formatted.astype(np.intp)].tolist())
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(line % tuple(row) for row in M.tolist())
+        fh.write(template % tuple(M[formatted].tolist()))
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:

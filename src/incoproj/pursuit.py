@@ -126,39 +126,39 @@ def _omp_block(Dh: np.ndarray, Y: np.ndarray, S: int, norms: np.ndarray) -> Reco
     cols = np.arange(B)  # the columns still growing
     Yc = Y.T.copy()  # their signals, one per row
     R = Yc.copy()  # and their residuals
-    Q = np.empty((B, 0, m))
-    U = np.empty((B, 0, 0))
-    z = np.empty((B, 0))  # Q @ signal
-    support = np.empty((B, 0), dtype=int)
+    # Step s fills slice s of each buffer; only U's upper triangle is read.
+    Q = np.empty((B, S, m))
+    U = np.empty((B, S, S))
+    z = np.empty((B, S))  # Q @ signal
+    support = np.empty((B, S), dtype=int)
     atoms = 0
     for s in range(S):
         rnorm = np.linalg.norm(R, axis=1)
         scores = np.abs(R @ Dh) / norms
         rows = np.arange(cols.size)
-        scores[rows[:, None], support] = -1.0
+        scores[rows[:, None], support[:, :s]] = -1.0
         j = np.argmax(scores, axis=1)  # first occurrence: smallest index on ties
         grow = (rnorm > tol[cols]) & (scores[rows, j] > 1e-13 * np.maximum(rnorm, 1e-300))
         if not grow.all():
-            _place(Theta, cols[~grow], support[~grow], U[~grow], z[~grow])
+            _place(Theta, cols[~grow], support[~grow, :s], U[~grow, :s, :s], z[~grow, :s])
             cols, Yc, Q, U, z, support, j = (a[grow] for a in (cols, Yc, Q, U, z, support, j))
             if not cols.size:
                 break
         v = Dh.T[j]  # the new atoms, one per row (a copy)
         h = np.zeros((cols.size, s))
         for _ in range(2):
-            c = np.einsum("bsm,bm->bs", Q, v)
-            v -= np.einsum("bsm,bs->bm", Q, c)
+            c = np.einsum("bsm,bm->bs", Q[:, :s], v)
+            v -= np.einsum("bsm,bs->bm", Q[:, :s], c)
             h += c
         diag = np.linalg.norm(v, axis=1)
-        Q = np.concatenate([Q, (v / diag[:, None])[:, None, :]], axis=1)
-        U = np.pad(U, ((0, 0), (0, 1), (0, 1)))
+        Q[:, s] = v / diag[:, None]
         U[:, :s, s] = h
         U[:, s, s] = diag
-        z = np.column_stack([z, np.einsum("bm,bm->b", Q[:, s], Yc)])
-        support = np.column_stack([support, j])
-        R = Yc - np.einsum("bsm,bs->bm", Q, z)
+        z[:, s] = np.einsum("bm,bm->b", Q[:, s], Yc)
+        support[:, s] = j
+        R = Yc - np.einsum("bsm,bs->bm", Q[:, : s + 1], z[:, : s + 1])
         atoms += cols.size
-    _place(Theta, cols, support, U, z)
+    _place(Theta, cols, support, U, z)  # every step ran, or no column is left
 
     residual = np.linalg.norm(Y - Dh @ Theta, axis=0)
     status = RecoveryStatus.CONVERGED if np.all(residual <= tol) else RecoveryStatus.MAX_ITER

@@ -17,12 +17,17 @@ pair off the small Gram E Eᵀ instead, and must agree with it.
 select on ``|G| > t``; ``altproj.project_convex`` clips instead, and must
 agree with it bit for bit.
 
+``reference_top_eigh`` is ``linalg.top_eigh`` as it was written through
+``scipy.linalg.eigh``; the direct ``dsyevr`` call that replaced it makes
+the same LAPACK call, and must return the same bits.
+
 ``reference_standard_lp`` is the interior-point loop of ``lp`` with one
 numpy call per quantity, as it stood before x and s were stacked into one
 array; ``lp.solve_standard_lp`` must return the same bytes.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import null_space
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
@@ -108,6 +113,19 @@ def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:
             A[:, j] = W @ D[:, j]
         replaced.append(j)
     return replaced
+
+
+def reference_top_eigh(A, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg.top_eigh`` with its subset solved by ``scipy.linalg.eigh``."""
+    k = A.shape[0]
+    if m >= k:
+        w, V = np.linalg.eigh(A)
+    else:
+        w, V = scipy.linalg.eigh(A, subset_by_index=(k - m, k - 1), check_finite=False)
+    V = np.array(V[:, ::-1])
+    first = np.argmax(V != 0.0, axis=0)
+    V[:, V[first, np.arange(V.shape[1])] < 0] *= -1.0
+    return w[::-1], V
 
 
 def _chol_solve_factory(M: np.ndarray):

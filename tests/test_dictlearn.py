@@ -6,6 +6,7 @@ from incoproj import Arm, coupled_ksvd, ksvd, normalize_columns, sparse_code
 from incoproj import dictlearn
 from incoproj.dictlearn import atom_update_sweep, purge_duplicate_atoms
 from incoproj.errors import SingularSystem
+from incoproj.linalg import top_eigh
 
 from oracles import svd_atom_update_sweep
 from synthetic import incoherent_frame, planted_signals
@@ -187,6 +188,15 @@ class TestAtomUpdateSweepOracle:
         W = np.eye(D.shape[0]) if backmap is None else backmap[0]
         for got, ref in ((Theta, Theta_ref), (X - W @ D @ Theta, X - W @ D_ref @ Theta_ref)):
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["plain", "backmap"])
+    def test_asks_for_one_eigenpair_per_atom(self, lifted, monkeypatch):
+        # Only the dominant eigenvector of E Eᵀ is kept, so only it is computed.
+        X, D, Theta, backmap = self._problem(0, lifted)
+        ranks = []
+        monkeypatch.setattr(dictlearn, "top_eigh", lambda A, m: ranks.append(m) or top_eigh(A, m))
+        atom_update_sweep(X, D, Theta, np.random.default_rng(0), backmap)
+        assert ranks == [1] * (D.shape[1] - 1)  # every atom but the unused atom 2
 
 
 class TestDuplicatePurge:

@@ -18,6 +18,8 @@ from incoproj.linalg import (
     top_eigh,
 )
 
+from oracles import reference_top_eigh
+
 
 class TestAsMatrix:
     def test_accepts_lists_and_arrays(self):
@@ -114,10 +116,21 @@ class TestEigh:
             # spectra; random G has simple spectrum so compare directly
             assert_allclose(V, V_full[:, :m], atol=1e-8)
 
+    @pytest.mark.parametrize("k, m", [(100, 12), (400, 30), (20, 1), (28, 1), (10, 10)])
+    def test_matches_the_scipy_eigh_oracle_bit_for_bit(self, k, m):
+        # The subset path calls dsyevr as scipy.linalg.eigh does, with
+        # the same workspace, so the bits must not move.
+        A = np.random.default_rng(k + m).standard_normal((k, k))
+        A = A + A.T
+        w, V = top_eigh(A, m)
+        w_ref, V_ref = reference_top_eigh(A, m)
+        assert V.shape == (k, m)
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
     def test_top_eigh_is_the_only_eigensolver(self):
         # Every symmetric eigendecomposition in the package goes through
         # top_eigh, so each one gets the same ordering and sign convention.
-        solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
+        solvers = {"eigh", "eigvalsh", "eig", "eigvals", "dsyevr", "dsyevd", "dsyev", "dsyevx"}
         offenders = []
         for path in sorted((Path(__file__).resolve().parents[1] / "src" / "incoproj").glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))

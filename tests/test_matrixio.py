@@ -15,6 +15,17 @@ from incoproj.matrixio import (
 )
 
 
+def sparse_coefficients():
+    """3-sparse 40 x 50 coefficients: row 39 is all +0.0, row 38 a -0.0 among +0.0s."""
+    rng = np.random.default_rng(9)
+    M = np.zeros((40, 50))
+    for col in range(50):
+        M[rng.choice(38, 3, replace=False), col] = rng.standard_normal(3)
+    M[38, 20] = -0.0
+    assert not np.signbit(M[39]).any() and np.flatnonzero(np.signbit(M[38])).tolist() == [20]
+    return M
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
@@ -64,6 +75,8 @@ class TestMatrixRoundTrip:
     @pytest.mark.parametrize("M", [
         [[-0.0, 5e-324, 1e308], [3, -7, 0], [0.1, -2.5e-300, 1 / 3]],
         np.arange(-4, 8).reshape(3, 4),
+        sparse_coefficients(),
+        np.zeros((3, 0)),
     ])
     def test_bytes_match_per_value_format(self, tmp_path, M):
         p = tmp_path / "m.csv"
