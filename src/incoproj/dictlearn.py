@@ -58,8 +58,9 @@ def atom_update_sweep(
     fitted by (W @ D) @ Theta, and every lifted atom or training column u
     returns to the columns of D as solve(u), normalized, with the
     coefficient row scaled by the norm it had.  An atom whose solve is
-    numerically zero is re-seeded at random and its row cleared.  Without
-    a backmap the atom is u itself at scale exactly 1.0 (plain K-SVD).
+    numerically zero has its row cleared and is then re-seeded like an
+    unused atom.  Without a backmap the atom is u itself at scale exactly
+    1.0 (plain K-SVD).
     """
     W, solve = backmap if backmap is not None else (None, None)
     A = D if W is None else W @ D  # the dictionary that X is fitted by
@@ -80,11 +81,9 @@ def atom_update_sweep(
                     A[:, j] = W @ D[:, j]
                 R[:, omega] = E - A[:, j, None] * Theta[j, omega]
                 continue
-            Theta[j, omega] = 0.0
+            Theta[j, omega] = 0.0  # emptied: its share returns to R, and it is unused
             R[:, omega] = E
-            D[:, j] = _random_atom(rng, D.shape[0])
-        else:  # unused atoms leave R as it is
-            D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
+        D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
         if W is not None:
             A[:, j] = W @ D[:, j]
         replaced.append(j)
@@ -93,11 +92,6 @@ def atom_update_sweep(
 
 def _with_norm(d: np.ndarray) -> tuple[np.ndarray, float]:
     return d, float(np.linalg.norm(d))
-
-
-def _random_atom(rng: np.random.Generator, n: int) -> np.ndarray:
-    d, nrm = _with_norm(rng.standard_normal(n))
-    return d / nrm
 
 
 def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve=None) -> np.ndarray:
@@ -113,7 +107,8 @@ def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve=None) -> np.ndarray:
         d, nrm = _with_norm(worst if solve is None else solve(worst))
         if nrm > ZERO_TOL:
             return d / nrm
-    return _random_atom(rng, n)
+    d = rng.standard_normal(n)
+    return d / np.linalg.norm(d)
 
 
 def purge_duplicate_atoms(

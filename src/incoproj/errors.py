@@ -59,5 +59,9 @@ class SingularSystem(IncoprojError):
     """A linear system that must be solved exactly is numerically singular."""
 
 
-class ConfigError(IncoprojError):
-    """Experiment configuration is malformed (unknown key, bad value, missing entry)."""
+class ConfigError(IncoprojError, ValueError):
+    """Experiment configuration is malformed (unknown key, bad value, missing entry).
+
+    Every bad key value raises it, whether of the wrong type, outside its
+    choices or out of range; it is a ``ValueError`` too.
+    """

@@ -13,7 +13,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby
 
 import numpy as np
@@ -60,21 +60,22 @@ class ExperimentConfig:
     """One sweep.  Its fields, in order, are the config file's base keys.
 
     Construction normalizes and checks every value, as ``Arm`` does its
-    params: scalar fields take their annotated type, ``dictionary_source``
-    (``gaussian``, ``gaussian:<seed>`` or ``file:<path>``) takes its
-    canonical form, and unset seeds (a bare ``gaussian`` source, an arm's
-    ``seed``) are derived from ``master_seed``.
+    params, and a bad one raises ``ConfigError``: each scalar field is parsed
+    by a ``Key`` of its annotated type and its ``metadata`` (bounds or choices),
+    ``dictionary_source`` (``gaussian``, ``gaussian:<seed>`` or ``file:<path>``)
+    takes its canonical form, and unset seeds (a bare ``gaussian`` source, an
+    arm's ``seed``) are derived from ``master_seed``.
     """
 
     n: int
-    k: int
+    k: int = field(metadata={"bounds": (1, math.inf)})
     m: int
     S_range: tuple[int, ...]
-    N: int
+    N: int = field(metadata={"bounds": (0, math.inf)})
     dictionary_source: str = "gaussian"
     optimizers: tuple[Arm, ...]
-    solver: str = "both"  # "omp" | "bp" | "both"
-    failure_threshold: float = 1e-4
+    solver: str = field(default="both", metadata={"choices": ("omp", "bp", "both")})
+    failure_threshold: float = field(default=1e-4, metadata={"bounds": (0, math.inf)})
     master_seed: int = 0
 
     def __post_init__(self):
@@ -82,10 +83,8 @@ class ExperimentConfig:
         # does not postpone the evaluation of annotations.
         for f in fields(self):
             if f.type in (int, float, str):
-                value = Key(f.name, f.type).parse(getattr(self, f.name), f.name)
+                value = Key(f.name, f.type, **f.metadata).parse(getattr(self, f.name), f.name)
                 object.__setattr__(self, f.name, value)
-        if self.k < 2:
-            raise ConfigError("need k >= 2")
         names = [arm.name for arm in self.optimizers]
         if not names:
             raise ConfigError("at least one optimizer arm required")
@@ -103,14 +102,6 @@ class ExperimentConfig:
             raise ConfigError(f"every S must satisfy 0 <= S < m={self.m} and S <= k={self.k}")
         if len(set(self.S_range)) != len(self.S_range):
             raise ConfigError(f"S_range {self.S_range} repeats a level")
-        if self.N < 1:
-            raise ConfigError("N must be >= 1")
-        if self.solver not in ("omp", "bp", "both"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if not 0.0 < self.failure_threshold < math.inf:
-            raise ConfigError(
-                f"failure_threshold must be finite and > 0, got {self.failure_threshold!r}"
-            )
         object.__setattr__(self, "dictionary_source", self._resolved_source())
         arms = tuple(
             Arm(arm.name, {**arm.params, "seed": derive_seed(self.master_seed, "arm", arm.name)})

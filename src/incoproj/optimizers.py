@@ -47,7 +47,7 @@ class Key:
     bounds: tuple[float, float] | None = None
 
     def parse(self, value, label: str):
-        """Coerce ``value`` (config text or a Python value) to this key's type."""
+        """Coerce ``value`` (config text or a Python value) to this key's type; ConfigError if bad."""
         if self.kind is np.ndarray:
             return as_matrix(value, "projection")
         try:
@@ -63,7 +63,7 @@ class Key:
         if self.choices and value not in self.choices:
             raise ConfigError(f"{label} {value!r} not " + " or ".join(map(repr, self.choices)))
         if self.bounds and not self.bounds[0] < value < self.bounds[1]:
-            raise ValueError(f"{label} must be in ({self.bounds[0]:g}, {self.bounds[1]:g})")
+            raise ConfigError(f"{label} must be in ({self.bounds[0]:g}, {self.bounds[1]:g})")
         return value
 
 

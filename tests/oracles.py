@@ -32,7 +32,7 @@ from scipy.linalg import null_space
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
 
-from incoproj.dictlearn import _random_atom, _reseed_atom
+from incoproj.dictlearn import _reseed_atom
 from incoproj.linalg import ZERO_TOL
 from incoproj.lp import MAX_ITER, TOL, LPResult
 
@@ -80,8 +80,9 @@ def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:
 
     The atom is the first left singular vector, signed so that its first
     nonzero component is positive, and the coefficients are sigma1 times
-    the first right singular vector with the same sign.  Unused atoms are
-    re-seeded by the program's own rule, which this oracle does not check.
+    the first right singular vector with the same sign.  Unused atoms, and
+    used atoms whose solve is numerically zero (their rows cleared first),
+    are re-seeded by the program's own rule, which this oracle does not check.
     """
     W, solve = backmap if backmap is not None else (None, None)
     A = D if W is None else W @ D
@@ -106,9 +107,7 @@ def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:
                 continue
             Theta[j, omega] = 0.0
             R[:, omega] = E
-            D[:, j] = _random_atom(rng, D.shape[0])
-        else:
-            D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
+        D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
         if W is not None:
             A[:, j] = W @ D[:, j]
         replaced.append(j)

@@ -68,6 +68,10 @@ class TestTAverage:
         with pytest.raises(EmptyAverage):
             t_average_coherence(gram(np.eye(4)), 0.5)
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+            t_average_coherence(gram(np.eye(4)), -0.1)
+
     def test_t_zero_averages_everything_nonzero(self):
         D = normalize_columns(np.random.default_rng(3).standard_normal((5, 9)))
         G = gram(D)

@@ -150,6 +150,40 @@ class TestAtomUpdateSweep:
         assert_allclose(np.linalg.norm(D, axis=0), 1.0, atol=1e-12)
 
 
+    def test_emptied_atom_reseeded_like_an_unused_one(self):
+        # the back-map sends atom 0's lifted update to zero: its row is
+        # cleared, its share of X returns to the residual, and it takes the
+        # worst-represented column of that restored residual
+        rng = np.random.default_rng(0)
+        D = normalize_columns(rng.standard_normal((6, 4)))
+        X = rng.standard_normal((6, 30))
+        Theta = sparse_code(X, D, 2)
+        assert np.count_nonzero(Theta[0])
+        restored = X - D[:, 1:] @ Theta[1:]
+        worst = int(np.argmax(np.sum(restored**2, axis=0)))
+        assert worst != np.argmax(np.sum((X - D @ Theta) ** 2, axis=0))  # the restore matters
+
+        def backmap():
+            """The identity, except that the first solve, atom 0's update, gives zero."""
+            calls = []
+
+            def solve(u):
+                calls.append(u)
+                return np.zeros_like(u) if len(calls) == 1 else u
+
+            return np.eye(6), solve
+
+        D_ref, Theta_ref = D.copy(), Theta.copy()
+        replaced = atom_update_sweep(X, D, Theta, np.random.default_rng(0), backmap())
+        assert 0 in replaced
+        assert not np.any(Theta[0])
+        assert_allclose(np.linalg.norm(D[:, 0]), 1.0, atol=1e-12)
+        assert_allclose(D[:, 0], X[:, worst] / np.linalg.norm(X[:, worst]), atol=1e-15)
+        assert replaced == svd_atom_update_sweep(X, D_ref, Theta_ref, np.random.default_rng(0), backmap())
+        assert_allclose(D, D_ref, rtol=0, atol=1e-10)
+        assert_allclose(Theta, Theta_ref, rtol=0, atol=1e-10)
+
+
 class TestAtomUpdateSweepOracle:
     """One sweep agrees with the thin-SVD sweep of ``oracles``."""
 
@@ -364,6 +398,18 @@ class TestCoupledKSVD:
         M = lam * lam * np.eye(20) + P.T @ P
         d_rec = np.linalg.solve(M, W.T @ (W @ d))
         assert_allclose(d_rec, d, atol=1e-9)
+
+    def test_stops_early_when_the_objective_settles(self):
+        # noisy rank-one signals under a fixed P settle long before the cap
+        rng = np.random.default_rng(0)
+        X = np.outer(rng.standard_normal(8), rng.standard_normal(60)) + 0.01 * rng.standard_normal((8, 60))
+        P = rng.standard_normal((4, 8))
+        lam = 0.5
+        *_, trace = coupled_ksvd(X, P @ X, 4, 1, 100, 0, lam=lam, inner=Arm("fixed", {"P": P}))
+        assert 1 < len(trace) < 100
+        obj = lam * lam * np.asarray(trace.term1) + np.asarray(trace.term2)
+        assert abs(obj[-1] - obj[-2]) < 1e-6 * obj[-2]
+        assert np.all(np.abs(np.diff(obj[:-1])) >= 1e-6 * obj[:-2])
 
     def test_degenerate_stacking_matches_plain_ksvd(self):
         # lam = 1, P = I duplicates every row of the fit, so the learned

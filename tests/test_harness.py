@@ -538,12 +538,48 @@ class TestConfigParsing:
 
     def test_out_of_range_arm_values_rejected_at_parse(self):
         # checked before any arm runs, not when the sweep reaches the arm
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ConfigError, match="gamma"):
             parse_config_text(CONFIG_TEXT + "elad.gamma = 1.5\n")
-        with pytest.raises(ValueError, match="t must be"):
+        with pytest.raises(ConfigError, match="t must be"):
             parse_config_text(CONFIG_TEXT.replace("altproj.t = 0.45", "altproj.t = 1.45"))
-        with pytest.raises(ValueError, match=r"^elad\.seed must be in \(-1, inf\)$"):
+        with pytest.raises(ConfigError, match=r"^elad\.seed must be in \(-1, inf\)$"):
             parse_config_text(CONFIG_TEXT + "elad.seed = -5\n")
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # sweep fields
+            ({"n": "six"}, "key 'n': expected integer, got 'six'"),
+            ({"k": "1"}, "k must be in (1, inf)"),
+            ({"k": "2.5"}, "key 'k': expected integer, got '2.5'"),
+            ({"N": "0"}, "N must be in (0, inf)"),
+            ({"N": "-2"}, "N must be in (0, inf)"),
+            ({"solver": "x"}, "solver 'x' not 'omp' or 'bp' or 'both'"),
+            ({"failure_threshold": "nan"}, "failure_threshold must be in (0, inf)"),
+            ({"failure_threshold": "0"}, "failure_threshold must be in (0, inf)"),
+            ({"failure_threshold": "inf"}, "failure_threshold must be in (0, inf)"),
+            ({"failure_threshold": "tiny"}, "key 'failure_threshold': expected number, got 'tiny'"),
+            ({"master_seed": "x"}, "key 'master_seed': expected integer, got 'x'"),
+            # arm keys
+            ({"elad.gamma": "1.5"}, "elad.gamma must be in (0, 1)"),
+            ({"elad.gamma": "abc"}, "key 'elad.gamma': expected number, got 'abc'"),
+            ({"elad.iterations": "-3"}, "elad.iterations must be in (0, inf)"),
+            ({"elad.iterations": "2.5"}, "key 'elad.iterations': expected integer, got '2.5'"),
+            ({"elad.mode": "adaptive"}, "elad.mode 'adaptive' not 'fixed' or 'relative'"),
+            ({"elad.t": "1"}, "elad.t must be in (0, 1)"),
+            ({"elad.mode": "relative", "elad.t": None, "elad.percent": "100"},
+             "elad.percent must be in (0, 100)"),
+            ({"altproj.t": "0"}, "altproj.t must be in (0, 1)"),
+            ({"altproj.seed": "-1"}, "altproj.seed must be in (-1, inf)"),
+            ({"none.seed": "x"}, "key 'none.seed': expected integer, got 'x'"),
+        ],
+    )
+    def test_every_bad_value_raises_config_error(self, values, message):
+        # wrong type, choice or range, of a sweep field or an arm key: one error type
+        kept = [line for line in CONFIG_TEXT.splitlines() if line.partition(" =")[0] not in values]
+        text = "\n".join(kept + [f"{key} = {value}" for key, value in values.items() if value is not None])
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
 
     @pytest.mark.parametrize(
         "old, new",
@@ -805,7 +841,7 @@ class TestCLI:
         cfg_path.write_text(CONFIG_TEXT + "failure_threshold = nan\n")
         out = tmp_path / "out"
         assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == "error: failure_threshold must be finite and > 0, got nan\n"
+        assert capsys.readouterr().err == "error: failure_threshold must be in (0, inf)\n"
         assert not out.exists()
 
     def test_bench_missing_config(self, tmp_path, capsys):

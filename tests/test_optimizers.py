@@ -7,7 +7,7 @@ import pytest
 from incoproj import altproj, elad
 from incoproj.altproj import altproj_optimize
 from incoproj.elad import elad_optimize
-from incoproj.errors import ConfigError, InvalidRank
+from incoproj.errors import ConfigError, InvalidRank, ZeroColumn
 from incoproj.optimizers import OPTIMIZERS, Arm, design, lookup
 from incoproj.sapiro import sapiro_optimize
 
@@ -194,6 +194,17 @@ class TestDesign:
         assert offenders == []
         rule = "a Gram of k atoms has rank at most k"
         assert sum(path.read_text().count(rule) for path in src.glob("*.py")) == 1
+
+    def test_one_atom_rejected(self):
+        D = np.random.default_rng(0).standard_normal((6, 1))
+        with pytest.raises(ValueError, match="^need at least two atoms to optimize coherence$"):
+            design(Arm("elad", self.SMALL["elad"]), D, 1)
+
+    def test_elad_zero_atom_names_its_iteration(self):
+        D = dictionary()
+        D[:, 5] = 0.0
+        with pytest.raises(ZeroColumn, match=r"^column 5 has zero norm \(effective dictionary at iteration 0\)$"):
+            design(Arm("elad", self.SMALL["elad"]), D, 4)
 
     def test_fixed_checks_shape(self):
         P = np.ones((4, 8))

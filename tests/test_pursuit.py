@@ -129,6 +129,14 @@ class TestOMP:
         assert res.status is RecoveryStatus.MAX_ITER
         assert np.linalg.norm(y - D @ res.theta_hat) > 1e-9 * np.linalg.norm(y)
 
+    def test_stops_when_the_residual_is_orthogonal_to_every_unused_column(self):
+        # after e1, the residual e3 has no component along e2: one atom, budget unspent
+        D = np.eye(3)[:, :2]
+        res = omp(D, np.array([1.0, 0.0, 1.0]), 2)
+        assert res.status is RecoveryStatus.MAX_ITER
+        assert res.iterations_or_pivots == 1
+        assert np.array_equal(res.theta_hat, [1.0, 0.0])
+
     def test_zero_column_rejected(self):
         D = np.ones((4, 3))
         D[:, 2] = 0.0
@@ -207,11 +215,12 @@ class TestOMP:
         D = gaussian_dictionary(4, 6, 3)
         nonfinite = np.ones((4, 3))
         nonfinite[2, 1] = np.nan
-        for Y, message in ((nonfinite, "measurement contains non-finite"),
-                           (np.ones((5, 3)), "measurement length does not match matrix rows")):
+        for Y, S, message in ((nonfinite, 2, "measurement contains non-finite"),
+                              (np.ones((5, 3)), 2, "measurement length does not match matrix rows"),
+                              (np.ones((4, 3)), -1, "sparsity budget must be >= 0")):
             for y in (Y, Y[:, 1]):
                 with pytest.raises(ValueError, match=message):
-                    omp(D, y, 2)
+                    omp(D, y, S)
 
 
 class TestBasisPursuit:
@@ -303,6 +312,10 @@ class TestExhaustive:
         res = exhaustive_sparsest(D, np.zeros(4), 2, 1e-10)
         assert np.count_nonzero(res.theta_hat) == 0
         assert res.unique is True
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^S_max must be >= 0$"):
+            exhaustive_sparsest(gaussian_dictionary(4, 8, 15), np.ones(4), -1, 1e-8)
 
     def test_combinatorial_guard(self):
         D = gaussian_dictionary(10, 60, 16)
