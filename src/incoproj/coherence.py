@@ -12,6 +12,7 @@ serves both.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,15 +21,29 @@ from .errors import EmptyAverage, TooFewColumns
 from .linalg import as_matrix
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_flat(k: int) -> np.ndarray:
+    """Read-only flat indices of a k x k matrix's strict upper triangle, row-major order."""
+    i, j = np.triu_indices(k, 1)
+    flat = i * k + j
+    flat.flags.writeable = False
+    return flat
+
+
 def offdiag_magnitudes(G: np.ndarray) -> np.ndarray:
     """Absolute values of the strict upper triangle, row-major order."""
-    k = G.shape[0]
-    iu = np.triu_indices(k, 1)
-    return np.abs(G[iu])
+    return np.abs(G.ravel().take(_upper_flat(G.shape[0])))
+
+
+def _square(G: np.ndarray) -> np.ndarray:
+    """``G`` itself; a Gram is square, and the triangle indices assume it."""
+    if G.shape[0] != G.shape[1]:
+        raise ValueError(f"gram must be square, got shape {G.shape}")
+    return G
 
 
 def _checked_gram(G, what: str) -> np.ndarray:
-    G = as_matrix(G, "gram")
+    G = _square(as_matrix(G, "gram"))
     if G.shape[1] < 2:
         raise TooFewColumns(f"{what} needs at least two columns")
     return G
@@ -52,10 +67,10 @@ def mutual_coherence(G) -> tuple[float, tuple[int, int]]:
         If ``G`` is smaller than 2 x 2.
     """
     G = _checked_gram(G, "mutual coherence")
-    iu = np.triu_indices(G.shape[0], 1)
-    mags = np.abs(G[iu])
+    mags = offdiag_magnitudes(G)
     pos = int(np.argmax(mags))  # argmax returns the first max: lexicographic winner
-    return min(float(mags[pos]), 1.0), (int(iu[0][pos]), int(iu[1][pos]))
+    i, j = divmod(int(_upper_flat(G.shape[0])[pos]), G.shape[0])
+    return min(float(mags[pos]), 1.0), (i, j)
 
 
 def t_average_coherence(G, t: float) -> float:
@@ -110,7 +125,7 @@ def offdiag_histogram(G, bins: int) -> list[tuple[float, int]]:
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    G = as_matrix(G, "gram")
+    G = _square(as_matrix(G, "gram"))
     mags = np.clip(offdiag_magnitudes(G), 0.0, 1.0)
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(mags, bins=edges)

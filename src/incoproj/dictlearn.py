@@ -18,10 +18,9 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import SingularSystem
-from .linalg import ZERO_TOL, as_matrix, normalize_columns, top_eigh
+from .linalg import ZERO_TOL, as_matrix, dpocon, dpotrf, dpotrs, normalize_columns, top_eigh
 from .matrixio import Trace
 from .optimizers import Arm, design
 from .pursuit import omp

@@ -7,21 +7,55 @@ matching shapes, and :func:`sqrt_factor` for a PSD input of rank at most
 its ``m``.  Symmetric eigendecompositions go through :func:`top_eigh`,
 which fixes the eigenvector sign convention so that repeated runs (and
 repeated calls on the same data) produce bit-identical results.
+
+The five LAPACK routines the package calls (``dsyevr`` and
+``dsyevr_lwork`` here, ``dpotrf`` and ``dpotrs`` in :mod:`incoproj.lp`, and
+those two with ``dpocon`` in :mod:`incoproj.dictlearn`) are scipy's f2py
+wrappers, bound here from its compiled ``scipy.linalg._flapack`` module.
+That module is loaded from its file, so the ``scipy.linalg`` package is
+never imported: its ``__init__`` pulls in scipy's array-API layer,
+``numpy.testing`` and ``numpy.f2py``, most of a process's start-up.  An
+f2py module is initialised once per process, so these are the very
+function objects ``scipy.linalg.lapack`` exports, whichever of the two is
+loaded first, and each call is the same call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.machinery
+import importlib.util
 import os
+from types import ModuleType
+
 import numpy as np
-import scipy
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .errors import ZeroColumn
 
 # Columns with norm at or below this are treated as zero.
 ZERO_TOL = 1e-12
+
+
+def _load_flapack(scipy_dir: str) -> ModuleType:
+    """scipy's compiled LAPACK module from the scipy installed at ``scipy_dir``."""
+    folder = os.path.join(scipy_dir, "linalg")
+    name = "scipy.linalg._flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled _flapack module in {folder}")
+
+
+# Found without importing scipy.
+_SCIPY_DIR = os.path.dirname(importlib.util.find_spec("scipy").origin)
+_flapack = _load_flapack(_SCIPY_DIR)
+dsyevr, dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
+dpotrf, dpotrs, dpocon = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpocon
 
 
 def set_blas_threads(count: int) -> None:
@@ -31,8 +65,8 @@ def set_blas_threads(count: int) -> None:
     that differ in the last bits between thread counts can flip a BP
     status.  A library or setter that is not there is skipped.
     """
-    for package in (np, scipy):
-        for path in glob.glob(os.path.dirname(package.__file__) + ".libs/*openblas*"):
+    for root in (os.path.dirname(np.__file__), _SCIPY_DIR):
+        for path in glob.glob(root + ".libs/*openblas*"):
             lib = ctypes.CDLL(path)
             for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
                 setter = getattr(lib, symbol, None)

@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+
+from .linalg import dpotrf, dpotrs
 
 # Stopping tolerance on relative infeasibility and duality gap: at most
 # 1% of pursuit.LP_TOL, so that basis_pursuit's certificate has room.

@@ -9,7 +9,7 @@ from incoproj import (
     offdiag_histogram,
     t_average_coherence,
 )
-from incoproj.coherence import offdiag_magnitudes, relative_threshold, trace_coherence
+from incoproj.coherence import _upper_flat, offdiag_magnitudes, relative_threshold, trace_coherence
 from incoproj.errors import EmptyAverage, TooFewColumns
 
 
@@ -45,6 +45,27 @@ class TestMutualCoherence:
     def test_single_column_rejected(self):
         with pytest.raises(TooFewColumns):
             mutual_coherence(gram(np.ones((3, 1))))
+
+    @pytest.mark.parametrize("statistic", [mutual_coherence, lambda G: t_average_coherence(G, 0.0),
+                                           lambda G: offdiag_histogram(G, 4)])
+    def test_non_square_gram_rejected(self, statistic):
+        for shape in [(3, 5), (5, 3)]:
+            with pytest.raises(ValueError, match=rf"^gram must be square, got shape \({shape[0]}, {shape[1]}\)$"):
+                statistic(np.full(shape, 0.1))
+
+
+class TestUpperTriangle:
+    @pytest.mark.parametrize("k", [2, 3, 20, 400])
+    def test_cached_flat_indices_are_triu_indices(self, k):
+        flat = _upper_flat(k)
+        assert np.array_equal(np.divmod(flat, k), np.triu_indices(k, 1))
+        assert not flat.flags.writeable
+        assert _upper_flat(k) is flat
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_magnitudes_are_the_fancy_index_gather_bit_for_bit(self, order):
+        G = np.asarray(np.random.default_rng(8).standard_normal((20, 20)), order=order)
+        assert offdiag_magnitudes(G).tobytes() == np.abs(G[np.triu_indices(20, 1)]).tobytes()
 
 
 class TestTAverage:
