@@ -18,7 +18,7 @@ from .dictlearn import coupled_ksvd, ksvd
 from .errors import ConfigError, EmptyAverage, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, load_dictionary, run_sweep
 from .linalg import gram, set_blas_threads
-from .matrixio import read_matrix, write_histogram, write_matrix
+from .matrixio import Trace, read_matrix, write_histogram, write_matrix
 from .optimizers import DEFAULT_T, OPTIMIZERS, SEED, Arm, design
 
 PAPER_SCALE = dict(n=200, k=400, m=30, N=10000, S_range=tuple(range(1, 11)))
@@ -33,6 +33,14 @@ def _arm(name: str, args, **flags) -> Arm:
     values = {key: value for key, value in dict(iterations=50, seed=0).items() if key in keys}
     given = {**{flag: getattr(args, flag) for flag in ("mode", "t", "percent", "gamma")}, **flags}
     return Arm(name, {**values, **{key: value for key, value in given.items() if value is not None}})
+
+
+def _write(out_dir: str, trace: Trace, **matrices) -> None:
+    """Write a job's outputs to ``out_dir``: each matrix as ``<name>.csv``, then ``trace.csv``."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, M in matrices.items():
+        write_matrix(os.path.join(out_dir, f"{name}.csv"), M)
+    trace.to_csv(os.path.join(out_dir, "trace.csv"))
 
 
 def _cmd_design(args) -> int:
@@ -58,9 +66,7 @@ def _cmd_design(args) -> int:
         mu_t = "n/a"
     hist = offdiag_histogram(G, args.bins)
     # Everything that can fail runs before the first write.
-    os.makedirs(args.out_dir, exist_ok=True)
-    trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
-    write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
+    _write(args.out_dir, trace, projection=P)
     write_histogram(os.path.join(args.out_dir, "gram_hist.csv"), hist)
     print(f"method={args.method} mu={mu!r} mu_t[{t!r}]={mu_t}")
     return 0
@@ -94,10 +100,7 @@ def _cmd_hist(args) -> int:
 def _cmd_ksvd(args) -> int:
     X = read_matrix(args.signals)
     D, Theta, trace = ksvd(X, k=args.atoms, S=args.sparsity, iterations=args.iterations, seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_matrix(os.path.join(args.out_dir, "dictionary.csv"), D)
-    write_matrix(os.path.join(args.out_dir, "coefficients.csv"), Theta)
-    trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
+    _write(args.out_dir, trace, dictionary=D, coefficients=Theta)
     print(f"ksvd final objective = {float(trace.objective[-1])!r}")
     return 0
 
@@ -115,11 +118,7 @@ def _cmd_coupled(args) -> int:
     P, D, Theta, trace = coupled_ksvd(
         X, Y, args.atoms, args.sparsity, args.outer, args.seed, lam=args.lam, inner=inner
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_matrix(os.path.join(args.out_dir, "projection.csv"), P)
-    write_matrix(os.path.join(args.out_dir, "dictionary.csv"), D)
-    write_matrix(os.path.join(args.out_dir, "coefficients.csv"), Theta)
-    trace.to_csv(os.path.join(args.out_dir, "trace.csv"))
+    _write(args.out_dir, trace, projection=P, dictionary=D, coefficients=Theta)
     print(f"coupled final terms = {float(trace.term1[-1])!r}, {float(trace.term2[-1])!r}")
     return 0
 

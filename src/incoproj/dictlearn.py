@@ -2,13 +2,14 @@
 projection matrix.
 
 Both learners alternate OMP sparse coding with one sweep of rank-one atom
-updates (:func:`atom_update_sweep`): each used atom becomes the dominant
-eigenvector u of E Eᵀ, for E the restricted residual with the atom added
-back, and its nonzero coefficients become Eᵀu.  The coupled variant works
-on the stacked data [lambda*X; Y] against the stacked dictionary
-[lambda*I; P] @ D, refreshing P each outer iteration with one of the
-projection optimizers; its sweep maps every updated stacked atom back to
-signal space through the overdetermined system
+updates (:func:`atom_update_sweep`) on a lifted problem, X fitted by
+(W @ D) @ Theta: each used atom is read off the dominant eigenvector u of
+E Eᵀ, for E the restricted residual with the atom added back, and its
+nonzero coefficients become Eᵀu.  Plain K-SVD's lift is the identity.  The
+coupled variant works on the stacked data [lambda*X; Y] against the
+stacked dictionary [lambda*I; P] @ D, refreshing P each outer iteration
+with one of the projection optimizers; its sweep maps every updated
+stacked atom back to signal space through the overdetermined system
 (lambda^2*I + P.T P) d = [lambda*I, P.T] d_stacked.
 """
 
@@ -45,24 +46,24 @@ def atom_update_sweep(
 
     For every atom j used by at least one signal, the restricted residual
     E (with atom j's contribution added back) is fitted by its dominant
-    singular pair, read off the small n x n Gram: the atom becomes the top
-    eigenvector u of E Eᵀ (first nonzero component positive), and the
-    nonzero coefficients become Eᵀu, which is sigma1 times the right
-    singular vector.  The support of each coefficient row never grows.
-    Unused atoms are replaced by the worst-represented training columns,
-    normalized, one column per atom; once every column is taken, the rest
-    are drawn at random.
+    singular pair, read off the small Gram E Eᵀ: the lifted atom becomes its
+    top eigenvector u (first nonzero component positive), and the nonzero
+    coefficients become Eᵀu, which is sigma1 times the right singular
+    vector.  The support of each coefficient row never grows.  Unused
+    atoms are replaced by the worst-represented training columns, mapped
+    back and normalized, one column per atom; once every column is taken,
+    the rest are drawn at random.
 
     ``backmap = (W, solve)`` runs the sweep on a lifted problem: X is
     fitted by (W @ D) @ Theta, and every lifted atom or training column u
     returns to the columns of D as solve(u), normalized, with the
     coefficient row scaled by the norm it had.  An atom whose solve is
     numerically zero has its row cleared and is then re-seeded like an
-    unused atom.  Without a backmap the atom is u itself at scale exactly
-    1.0 (plain K-SVD).
+    unused atom.  Without a backmap the lift is the identity, W = I and
+    solve(u) = u: plain K-SVD.
     """
-    W, solve = backmap if backmap is not None else (None, None)
-    A = D if W is None else W @ D  # the dictionary that X is fitted by
+    W, solve = backmap if backmap is not None else (np.eye(D.shape[0]), _identity)
+    A = W @ D  # the dictionary that X is fitted by
     R = X - A @ Theta
     replaced: list[int] = []
     seeds: list[int] = []  # training columns that re-seeded an atom in this pass
@@ -72,28 +73,30 @@ def atom_update_sweep(
         if omega.size:
             E = R[:, omega] + A[:, j, None] * row[omega]
             u = top_eigh(E @ E.T, 1)[1][:, 0]
-            d, nrm = (u, 1.0) if solve is None else _with_norm(solve(u))
+            d, nrm = _with_norm(solve(u))
             if nrm > ZERO_TOL:
                 D[:, j] = d / nrm
                 Theta[j, omega] = (u @ E) * nrm
-                if W is not None:
-                    A[:, j] = W @ D[:, j]
+                A[:, j] = W @ D[:, j]
                 R[:, omega] = E - A[:, j, None] * Theta[j, omega]
                 continue
             Theta[j, omega] = 0.0  # emptied: its share returns to R, and it is unused
             R[:, omega] = E
         D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
-        if W is not None:
-            A[:, j] = W @ D[:, j]
+        A[:, j] = W @ D[:, j]
         replaced.append(j)
     return replaced
+
+
+def _identity(u: np.ndarray) -> np.ndarray:
+    return u
 
 
 def _with_norm(d: np.ndarray) -> tuple[np.ndarray, float]:
     return d, float(np.linalg.norm(d))
 
 
-def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve=None) -> np.ndarray:
+def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve) -> np.ndarray:
     """The one re-seed rule: the worst-represented column of X (by R) not yet
     in ``seeds``, ties to the smallest index, mapped by ``solve`` and made unit;
     it joins ``seeds``.  A random atom once every column is taken, or if it is zero.
@@ -103,7 +106,7 @@ def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve=None) -> np.ndarray:
         err[seeds] = -1.0
         seeds.append(int(np.argmax(err)))
         worst = X[:, seeds[-1]]
-        d, nrm = _with_norm(worst if solve is None else solve(worst))
+        d, nrm = _with_norm(solve(worst))
         if nrm > ZERO_TOL:
             return d / nrm
     d = rng.standard_normal(n)
@@ -130,7 +133,7 @@ def purge_duplicate_atoms(
     replaced: list[int] = []
     for i, j in zip(*np.nonzero(np.triu(np.abs(D.T @ D) > DUPLICATE_CAP, 1))):
         if i not in replaced and j not in replaced:
-            D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0])
+            D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], _identity)
             Theta[j] = 0.0
             replaced.append(int(j))
     return replaced

@@ -74,9 +74,9 @@ def elad_optimize(
     for q in range(iterations):
         if mode == "relative":
             t = relative_threshold(mags, percent)
-        # Shrink the off-diagonals only; the (unit) diagonal stays.
+        # Shrink the off-diagonals only; the diagonal stays 1, as gram set it.
         shrunk = shrink_elad(G, t, gamma)
-        np.fill_diagonal(shrunk, np.diag(G))
+        np.fill_diagonal(shrunk, 1.0)
         reduced = symmetric_rank_truncate(shrunk, m)
         S = sqrt_factor(reduced, m)
         P = S @ Dpinv

@@ -120,6 +120,7 @@ def _omp_block(Dh: np.ndarray, Y: np.ndarray, S: int, norms: np.ndarray) -> Reco
     coefficients come from one triangular solve when it stops growing.
     """
     m, k = Dh.shape
+    S = min(S, k)  # a support holds at most k atoms; the buffers below are sized by S
     B = Y.shape[1]
     tol = RESIDUAL_TOL * np.linalg.norm(Y, axis=0)
     Theta = np.zeros((k, B))

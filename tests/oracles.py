@@ -78,14 +78,16 @@ def where_convex_projection(G, t: float) -> np.ndarray:
 def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:
     """``atom_update_sweep`` with each used atom fitted by a thin SVD of its residual E.
 
-    The atom is the first left singular vector, signed so that its first
-    nonzero component is positive, and the coefficients are sigma1 times
-    the first right singular vector with the same sign.  Unused atoms, and
-    used atoms whose solve is numerically zero (their rows cleared first),
-    are re-seeded by the program's own rule, which this oracle does not check.
+    The lifted atom u is the first left singular vector, signed so that its
+    first nonzero component is positive, and the coefficients are sigma1
+    times the first right singular vector with the same sign; the atom is
+    solve(u) made unit, its row scaled by the norm it had, and no backmap
+    means the identity lift, as in the program.  Unused atoms, and used
+    atoms whose solve is numerically zero (their rows cleared first), are
+    re-seeded by the program's own rule, which this oracle does not check.
     """
-    W, solve = backmap if backmap is not None else (None, None)
-    A = D if W is None else W @ D
+    W, solve = backmap if backmap is not None else (np.eye(D.shape[0]), lambda u: u)
+    A = W @ D
     R = X - A @ Theta
     replaced, seeds = [], []
     for j in range(D.shape[1]):
@@ -96,20 +98,18 @@ def svd_atom_update_sweep(X, D, Theta, rng, backmap=None) -> list[int]:
             u, v = U[:, 0], Vt[0]
             if u[np.flatnonzero(u)[0]] < 0:
                 u, v = -u, -v
-            d = u if solve is None else solve(u)
-            nrm = 1.0 if solve is None else float(np.linalg.norm(d))
+            d = solve(u)
+            nrm = float(np.linalg.norm(d))
             if nrm > ZERO_TOL:
                 D[:, j] = d / nrm
                 Theta[j, omega] = sv[0] * v * nrm
-                if W is not None:
-                    A[:, j] = W @ D[:, j]
+                A[:, j] = W @ D[:, j]
                 R[:, omega] = E - np.outer(A[:, j], Theta[j, omega])
                 continue
             Theta[j, omega] = 0.0
             R[:, omega] = E
         D[:, j] = _reseed_atom(X, R, seeds, rng, D.shape[0], solve)
-        if W is not None:
-            A[:, j] = W @ D[:, j]
+        A[:, j] = W @ D[:, j]
         replaced.append(j)
     return replaced
 

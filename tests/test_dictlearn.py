@@ -149,6 +149,21 @@ class TestAtomUpdateSweep:
         assert cors[:, 3:].max() < 1 - 1e-6
         assert_allclose(np.linalg.norm(D, axis=0), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_backmap_is_the_identity_lift(self, seed):
+        # plain K-SVD is the lifted sweep with W = I and solve(u) = u, bit for bit
+        rng = np.random.default_rng(seed)
+        D = normalize_columns(rng.standard_normal((10, 20)))
+        X = rng.standard_normal((10, 60))
+        Theta = sparse_code(X, D, 3)
+        Theta[[4, 7]] = 0.0  # two unused atoms, re-seeded
+        D_lift, Theta_lift = D.copy(), Theta.copy()
+        replaced = atom_update_sweep(X, D, Theta, np.random.default_rng(seed))
+        identity = (np.eye(10), lambda u: u)
+        assert replaced == atom_update_sweep(X, D_lift, Theta_lift, np.random.default_rng(seed), identity)
+        assert {4, 7} <= set(replaced)
+        assert D.tobytes() == D_lift.tobytes()
+        assert Theta.tobytes() == Theta_lift.tobytes()
 
     def test_emptied_atom_reseeded_like_an_unused_one(self):
         # the back-map sends atom 0's lifted update to zero: its row is

@@ -25,7 +25,7 @@ from incoproj.harness import (
     synthesize_signals,
 )
 from incoproj.pursuit import RecoveryStatus
-from incoproj import cli, harness
+from incoproj import cli, harness, linalg
 from incoproj.optimizers import Arm
 
 
@@ -396,6 +396,29 @@ class TestRunSweep:
             assert got.solve_s > 0.0
         emit_reports(sweep, tmp_path)
         assert (tmp_path / f"gram_hist_{failed}.csv").read_text() == "bin_lower,count\n"
+
+    def test_a_lapack_failure_fails_the_arms_that_decompose(self, monkeypatch):
+        # elad, sapiro and altproj each take a top_eigh subset through dsyevr;
+        # its failure is theirs alone, and the none arm runs as without it
+        cfg = tiny_config(optimizers=(Arm("none"), Arm("elad"), Arm("sapiro"), Arm("altproj")))
+        healthy = run_sweep(cfg)
+
+        def failing_dsyevr(A, **kwargs):
+            k = A.shape[0]
+            return np.zeros(k), np.zeros((k, k)), 0, np.zeros(2 * k, dtype=np.int32), 2
+
+        monkeypatch.setattr(linalg, "dsyevr", failing_dsyevr)
+        sweep = run_sweep(cfg)
+        assert len(sweep.cells) == len(healthy.cells) == 4 * len(cfg.solvers)
+        for got, want in zip(sweep.cells, healthy.cells):
+            if got.optimizer_name == "none":
+                assert (got.solver_name, got.S, got.seed_used, got.status) == (
+                    want.solver_name, want.S, want.seed_used, want.status)
+                assert np.array_equal(got.relative_error, want.relative_error)
+                assert np.array_equal(got.success, want.success)
+            else:
+                assert got.status == ("error:LinAlgError",) * cfg.N
+                assert not np.any(got.success)
 
     def test_cells_in_first_seen_order(self):
         sweep = run_sweep(tiny_config())

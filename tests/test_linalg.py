@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from incoproj import linalg
 from incoproj.errors import ZeroColumn
 from incoproj.linalg import (
     as_dictionary,
@@ -126,6 +127,15 @@ class TestEigh:
         w_ref, V_ref = reference_top_eigh(A, m)
         assert V.shape == (k, m)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing_dsyevr(A, **kwargs):
+            k = A.shape[0]
+            return np.zeros(k), np.zeros((k, k)), 0, np.zeros(2 * k, dtype=np.int32), 2
+
+        monkeypatch.setattr(linalg, "dsyevr", failing_dsyevr)
+        with pytest.raises(np.linalg.LinAlgError, match="dsyevr failed with info=2"):
+            top_eigh(np.diag([3.0, 2.0, 1.0]), 1)
 
     def test_top_eigh_is_the_only_eigensolver(self):
         # Every symmetric eigendecomposition in the package goes through

@@ -203,6 +203,16 @@ class TestOMP:
         else:
             assert all(r.status is RecoveryStatus.MAX_ITER for r in singles[:38] + [one_sparse])
 
+    @pytest.mark.parametrize("m, k", [(20, 40), (28, 12)])
+    def test_budget_above_the_atom_count_is_the_atom_count(self, m, k):
+        # a block sizes its buffers by the budget, which a support cannot outgrow
+        D, Y = self.block_instance(m, k, m * k, True)
+        for y in (Y, Y[:, 0]):
+            huge, full = omp(D, y, 10**6), omp(D, y, k)
+            assert huge.theta_hat.tobytes() == full.theta_hat.tobytes()
+            assert huge.iterations_or_pivots == full.iterations_or_pivots
+            assert huge.status is full.status
+
     def test_block_tie_breaks_to_smallest_index(self):
         D, Y = self.block_instance(20, 40, 9, True)
         D[:, 33] = D[:, 4]
