@@ -19,10 +19,8 @@ from .errors import (
     EmptyAverage,
     IncoprojError,
     InvalidRank,
-    NotFound,
     SingularSystem,
     TooFewColumns,
-    TooLarge,
     ZeroColumn,
 )
 from .harness import (
@@ -41,7 +39,6 @@ from .pursuit import (
     RecoveryResult,
     RecoveryStatus,
     basis_pursuit,
-    exhaustive_sparsest,
     omp,
 )
 
@@ -57,13 +54,11 @@ __all__ = [
     "ExperimentConfig",
     "IncoprojError",
     "InvalidRank",
-    "NotFound",
     "RecoveryResult",
     "RecoveryStatus",
     "SingularSystem",
     "Sweep",
     "TooFewColumns",
-    "TooLarge",
     "Trace",
     "ZeroColumn",
     "as_dictionary",
@@ -72,7 +67,6 @@ __all__ = [
     "derive_seed",
     "design",
     "emit_reports",
-    "exhaustive_sparsest",
     "gram",
     "ksvd",
     "mutual_coherence",

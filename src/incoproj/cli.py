@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--paper-scale",
         action="store_true",
-        help="override sizes to n=200 k=400 m=30 N=10000 S=1..10 (hours of runtime)",
+        help="override sizes to n=200 k=400 m=30 N=10000 S=1..10 "
+        "(about 20-30 minutes at one BLAS thread, extrapolated; never run to the end)",
     )
     p.set_defaults(func=_cmd_bench)
 
@@ -205,6 +206,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # A job writes its outputs last; refuse an unusable --out-dir before it loads or computes anything.
+        out_dir = getattr(args, "out_dir", None)
+        if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError(f"--out-dir {out_dir} exists and is not a directory")
         return args.func(args)
     except (IncoprojError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,15 +18,13 @@ from .matrixio import Trace
 def shrink_elad(g, t: float, gamma: float):
     """Entrywise shrinkage: |g| >= t -> gamma*g; t > |g| >= gamma*t -> gamma*t*sign(g); else g.
 
-    Odd, monotone non-decreasing, and never amplifies an entry.  Scalar in,
-    scalar out; arrays are processed elementwise.  The registry bounds t and gamma.
+    Odd, monotone non-decreasing, and never amplifies an entry.  ``g`` is
+    taken as a float array and shrunk elementwise; a scalar comes back as a
+    0-d array.  The registry bounds t and gamma.
     """
     arr = np.asarray(g, dtype=float)
     mag = np.abs(arr)
-    out = np.where(mag >= t, gamma * arr, np.where(mag >= gamma * t, gamma * t * np.sign(arr), arr))
-    if np.isscalar(g) or arr.ndim == 0:
-        return float(out)
-    return out
+    return np.where(mag >= t, gamma * arr, np.where(mag >= gamma * t, gamma * t * np.sign(arr), arr))
 
 
 def _effective_gram(P: np.ndarray, D: np.ndarray, q: int) -> np.ndarray:

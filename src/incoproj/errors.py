@@ -47,14 +47,6 @@ class DegenerateSpectrum(IncoprojError):
     """All eigenvalues of the frame operator are numerically zero."""
 
 
-class TooLarge(IncoprojError):
-    """Problem size exceeds a hard enumeration guard."""
-
-
-class NotFound(IncoprojError):
-    """Exhaustive search finished without finding any admissible solution."""
-
-
 class SingularSystem(IncoprojError):
     """A linear system that must be solved exactly is numerically singular."""
 

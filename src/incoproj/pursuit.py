@@ -1,20 +1,16 @@
-"""Sparse recovery: OMP, Basis Pursuit, and an exhaustive l0 oracle.
+"""Sparse recovery: OMP and Basis Pursuit.
 
-These solvers double as benchmark reconstruction engines and as the
-verification oracles for the uniqueness / recovery guarantee at sparsity
-below (1 + 1/mu) / 2.
+These solvers are the benchmark's reconstruction engines; below sparsity
+(1 + 1/mu) / 2 both must recover the unique sparsest solution.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .errors import NotFound, TooLarge
 from .linalg import as_matrix, column_norms
 from .lp import solve_standard_lp
 
@@ -22,8 +18,6 @@ from .lp import solve_standard_lp
 LP_TOL = 1e-7
 # OMP stops once the residual norm is at most this fraction of ||y||.
 RESIDUAL_TOL = 1e-9
-# Supports enumerated by the exhaustive oracle are capped at this count.
-ENUMERATION_GUARD = 10**6
 
 
 class RecoveryStatus(enum.Enum):
@@ -38,15 +32,14 @@ class RecoveryResult:
 
     ``theta_hat`` is the length-k estimate, or k x B with one column per
     measurement of a block.  ``iterations_or_pivots`` counts the atoms OMP
-    selected (over every column of a block), BP's interior-point
-    iterations, or the supports the exhaustive oracle tried.  A block's
-    ``status`` is CONVERGED only when every column converged.
+    selected (over every column of a block) or BP's interior-point
+    iterations.  A block's ``status`` is CONVERGED only when every column
+    converged.
     """
 
     theta_hat: np.ndarray
     iterations_or_pivots: int
     status: RecoveryStatus
-    unique: bool | None = None
 
 
 def _problem(Dhat, y, block: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -217,48 +210,3 @@ def basis_pursuit(Dhat, y) -> RecoveryResult:
 
     status = RecoveryStatus.CONVERGED if certified else RecoveryStatus.MAX_ITER
     return RecoveryResult(theta, res.iterations, status)
-
-
-def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> RecoveryResult:
-    """Brute-force minimum-l0 oracle: try every support of size 1, 2, ... S_max.
-
-    Returns the first (smallest) support size with least-squares residual
-    at or below ``tol``; the lexicographically first such support supplies
-    the coefficients.  The ``unique`` flag is True when every admissible
-    support of the winning size yields the same coefficient vector (entry
-    differences within ``tol``).
-
-    Raises
-    ------
-    TooLarge
-        If the number of candidate supports exceeds 10^6.
-    NotFound
-        If no support of size <= S_max fits.
-    """
-    Dh, y = _problem(Dhat, y)
-    k = Dh.shape[1]
-    if S_max < 0:
-        raise ValueError("S_max must be >= 0")
-    total = sum(comb(k, s) for s in range(1, S_max + 1))
-    if total > ENUMERATION_GUARD:
-        raise TooLarge(f"{total} supports to enumerate exceeds {ENUMERATION_GUARD}")
-
-    if float(np.linalg.norm(y)) <= tol:
-        return RecoveryResult(np.zeros(k), 1, RecoveryStatus.CONVERGED, unique=True)
-
-    tested = 0
-    for s in range(1, S_max + 1):
-        hits: list[np.ndarray] = []
-        for support in itertools.combinations(range(k), s):
-            tested += 1
-            sub = Dh[:, support]
-            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-            if float(np.linalg.norm(y - sub @ coef)) <= tol:
-                theta = np.zeros(k)
-                theta[list(support)] = coef
-                hits.append(theta)
-        if hits:
-            first = hits[0]
-            unique = all(float(np.max(np.abs(h - first))) <= tol for h in hits[1:])
-            return RecoveryResult(first, tested, RecoveryStatus.CONVERGED, unique=unique)
-    raise NotFound(f"no support of size <= {S_max} fits within tol={tol}")

@@ -8,6 +8,10 @@ vector ``w`` with ``A_Tᵀ w = sign(theta_T)`` and ``‖A_{Tᶜ}ᵀ w‖∞ < 1`
 (Fuchs 2004, "On sparse representations in arbitrary redundant bases";
 Tropp 2006, "Just relax").
 
+``exhaustive_sparsest`` is the brute-force minimum-l0 search: it tries
+every support in turn, so it needs no solver and no bound to trust, and
+below sparsity (1 + 1/mu) / 2 its answer must be unique.
+
 ``svd_atom_update_sweep`` is the K-SVD atom update as Aharon, Elad &
 Bruckstein (2006) state it: one thin SVD per used atom, keeping the
 dominant singular pair.  ``dictlearn.atom_update_sweep`` reads the same
@@ -26,6 +30,9 @@ numpy call per quantity, as it stood before x and s were stacked into one
 array; ``lp.solve_standard_lp`` must return the same bytes.
 """
 
+import itertools
+from math import comb
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import null_space
@@ -35,6 +42,18 @@ from scipy.optimize import linprog
 from incoproj.dictlearn import _reseed_atom
 from incoproj.linalg import ZERO_TOL
 from incoproj.lp import MAX_ITER, TOL, LPResult
+from incoproj.pursuit import _problem
+
+# Supports enumerated by the exhaustive oracle are capped at this count.
+ENUMERATION_GUARD = 10**6
+
+
+class TooLarge(Exception):
+    """The exhaustive oracle would enumerate more than ``ENUMERATION_GUARD`` supports."""
+
+
+class NotFound(Exception):
+    """The exhaustive oracle found no support within its budget that fits."""
 
 
 def certificate_value(A, theta) -> float:
@@ -66,6 +85,46 @@ def certificate_value(A, theta) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> tuple[np.ndarray, int, bool]:
+    """Brute-force minimum-l0 oracle: try every support of size 1, 2, ... S_max.
+
+    Returns ``(theta, supports_tried, unique)``.  ``theta`` comes from the
+    first (smallest) support size with least-squares residual at or below
+    ``tol``, its lexicographically first such support supplying the
+    coefficients.  ``unique`` is True when every admissible support of that
+    size yields the same coefficient vector (entry differences within
+    ``tol``).  Raises ``TooLarge`` when more than ``ENUMERATION_GUARD``
+    supports would be tried, and ``NotFound`` when no support of size
+    <= S_max fits.
+    """
+    Dh, y = _problem(Dhat, y)
+    k = Dh.shape[1]
+    if S_max < 0:
+        raise ValueError("S_max must be >= 0")
+    total = sum(comb(k, s) for s in range(1, S_max + 1))
+    if total > ENUMERATION_GUARD:
+        raise TooLarge(f"{total} supports to enumerate exceeds {ENUMERATION_GUARD}")
+
+    if float(np.linalg.norm(y)) <= tol:
+        return np.zeros(k), 1, True
+
+    tested = 0
+    for s in range(1, S_max + 1):
+        hits: list[np.ndarray] = []
+        for support in itertools.combinations(range(k), s):
+            tested += 1
+            sub = Dh[:, support]
+            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+            if float(np.linalg.norm(y - sub @ coef)) <= tol:
+                theta = np.zeros(k)
+                theta[list(support)] = coef
+                hits.append(theta)
+        if hits:
+            first = hits[0]
+            return first, tested, all(float(np.max(np.abs(h - first))) <= tol for h in hits[1:])
+    raise NotFound(f"no support of size <= {S_max} fits within tol={tol}")
 
 
 def where_convex_projection(G, t: float) -> np.ndarray:

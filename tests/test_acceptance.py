@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from incoproj import (
     basis_pursuit,
-    exhaustive_sparsest,
     gram,
     ksvd,
     mutual_coherence,
@@ -27,6 +26,7 @@ from incoproj.harness import ExperimentConfig, run_sweep
 from incoproj.optimizers import Arm
 from incoproj.cli import main
 
+from oracles import exhaustive_sparsest
 from synthetic import gaussian_dictionary, incoherent_frame, planted_signals
 
 
@@ -63,8 +63,8 @@ def test_01_sparse_uniqueness_and_recovery():
         norm_theta = np.linalg.norm(theta)
 
         try:
-            oracle = exhaustive_sparsest(Dhat, y, S, 1e-8 * np.linalg.norm(y))
-            ok = oracle.unique and sorted(np.flatnonzero(oracle.theta_hat).tolist()) == sorted(
+            theta_hat, _, unique = exhaustive_sparsest(Dhat, y, S, 1e-8 * np.linalg.norm(y))
+            ok = unique and sorted(np.flatnonzero(theta_hat).tolist()) == sorted(
                 support.tolist()
             )
             for solver in (lambda: omp(Dhat, y, S), lambda: basis_pursuit(Dhat, y)):

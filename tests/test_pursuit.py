@@ -6,7 +6,6 @@ from scipy.linalg.lapack import dpotrf
 from incoproj import (
     RecoveryStatus,
     basis_pursuit,
-    exhaustive_sparsest,
     gram,
     mutual_coherence,
     normalize_columns,
@@ -14,7 +13,9 @@ from incoproj import (
 )
 from incoproj import lp, pursuit
 from incoproj.lp import solve_standard_lp
-from incoproj.errors import TooLarge, ZeroColumn
+from incoproj.errors import ZeroColumn
+
+from oracles import NotFound, TooLarge, exhaustive_sparsest
 
 from synthetic import gaussian_dictionary, incoherent_frame, planted_signals
 
@@ -297,31 +298,31 @@ class TestExhaustive:
         theta = np.zeros(16)
         theta[[4, 9]] = [1.0, -0.5]
         y = D @ theta
-        res = exhaustive_sparsest(D, y, 2, 1e-8 * np.linalg.norm(y))
-        assert np.flatnonzero(res.theta_hat).tolist() == [4, 9]
-        assert res.unique is True
-        assert_allclose(res.theta_hat, theta, atol=1e-9)
+        theta_hat, _, unique = exhaustive_sparsest(D, y, 2, 1e-8 * np.linalg.norm(y))
+        assert np.flatnonzero(theta_hat).tolist() == [4, 9]
+        assert unique is True
+        assert_allclose(theta_hat, theta, atol=1e-9)
 
     def test_smaller_support_wins(self):
         D = gaussian_dictionary(6, 10, 14)
         theta = np.zeros(10)
         theta[2] = 1.0
         y = D @ theta
-        res = exhaustive_sparsest(D, y, 3, 1e-8)
-        assert np.count_nonzero(res.theta_hat) == 1
+        theta_hat, _, _ = exhaustive_sparsest(D, y, 3, 1e-8)
+        assert np.count_nonzero(theta_hat) == 1
 
     def test_duplicate_columns_break_uniqueness(self):
         v = np.array([1.0, 0.0])
         w = np.array([0.0, 1.0])
         D = np.stack([v, v, w], axis=1)
-        res = exhaustive_sparsest(D, v.copy(), 1, 1e-10)
-        assert res.unique is False
+        _, _, unique = exhaustive_sparsest(D, v.copy(), 1, 1e-10)
+        assert unique is False
 
     def test_zero_signal(self):
         D = gaussian_dictionary(4, 8, 15)
-        res = exhaustive_sparsest(D, np.zeros(4), 2, 1e-10)
-        assert np.count_nonzero(res.theta_hat) == 0
-        assert res.unique is True
+        theta_hat, _, unique = exhaustive_sparsest(D, np.zeros(4), 2, 1e-10)
+        assert np.count_nonzero(theta_hat) == 0
+        assert unique is True
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="^S_max must be >= 0$"):
@@ -333,8 +334,6 @@ class TestExhaustive:
             exhaustive_sparsest(D, np.ones(10), 6, 1e-8)
 
     def test_not_found_reported(self):
-        from incoproj.errors import NotFound
-
         rng = np.random.default_rng(17)
         D = gaussian_dictionary(8, 12, 17)
         y = rng.standard_normal(8)  # dense target, no 1-sparse fit
