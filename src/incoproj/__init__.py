@@ -18,9 +18,7 @@ from .errors import (
     DegenerateSpectrum,
     EmptyAverage,
     IncoprojError,
-    InvalidRank,
     SingularSystem,
-    TooFewColumns,
     ZeroColumn,
 )
 from .harness import (
@@ -53,12 +51,10 @@ __all__ = [
     "EmptyAverage",
     "ExperimentConfig",
     "IncoprojError",
-    "InvalidRank",
     "RecoveryResult",
     "RecoveryStatus",
     "SingularSystem",
     "Sweep",
-    "TooFewColumns",
     "Trace",
     "ZeroColumn",
     "as_dictionary",

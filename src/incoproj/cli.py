@@ -206,10 +206,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A job writes its outputs last; refuse an unusable --out-dir before it loads or computes anything.
-        out_dir = getattr(args, "out_dir", None)
-        if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
-            raise ConfigError(f"--out-dir {out_dir} exists and is not a directory")
+        # A job writes its outputs last; refuse an --out-dir at or below a file before any work.
+        out_dir = existing = getattr(args, "out_dir", None)
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            where = "exists" if existing == out_dir else f"lies below {existing}, which exists"
+            raise ConfigError(f"--out-dir {out_dir} {where} and is not a directory")
         return args.func(args)
     except (IncoprojError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

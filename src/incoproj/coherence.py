@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyAverage, TooFewColumns
+from .errors import EmptyAverage
 from .linalg import as_matrix
 
 
@@ -45,7 +45,7 @@ def _square(G: np.ndarray) -> np.ndarray:
 def _checked_gram(G, what: str) -> np.ndarray:
     G = _square(as_matrix(G, "gram"))
     if G.shape[1] < 2:
-        raise TooFewColumns(f"{what} needs at least two columns")
+        raise ValueError(f"{what} needs at least two columns")
     return G
 
 
@@ -63,8 +63,8 @@ def mutual_coherence(G) -> tuple[float, tuple[int, int]]:
 
     Raises
     ------
-    TooFewColumns
-        If ``G`` is smaller than 2 x 2.
+    ValueError
+        If ``G`` is not square or is smaller than 2 x 2.
     """
     G = _checked_gram(G, "mutual coherence")
     mags = offdiag_magnitudes(G)
@@ -82,6 +82,8 @@ def t_average_coherence(G, t: float) -> float:
         If no off-diagonal magnitude exceeds ``t``; callers decide what a
         sensible fallback is (returning 0 here would corrupt optimizer
         progress tracking).
+    ValueError
+        If ``t`` is negative, or ``G`` is not square or is smaller than 2 x 2.
     """
     if t < 0:
         raise ValueError("threshold must be nonnegative")

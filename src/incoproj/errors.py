@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to branch on gets its own
-class; generic misuse (wrong dtype, wrong dimensionality) raises plain
-``ValueError``.
+``IncoprojError`` is the base of the six classes that callers branch on,
+each marking one degenerate input: ``ZeroColumn`` (an atom or effective
+column of zero norm), ``EmptyAverage`` (no off-diagonal Gram magnitude
+above the threshold), ``DegenerateDiagonal`` (a Gram diagonal entry too
+small to normalize), ``DegenerateSpectrum`` (a frame operator with only
+zero eigenvalues), ``SingularSystem`` (a singular ``lam^2 I + P.T P``) and
+``ConfigError`` (a bad config, flag or key value; also a ``ValueError``).
+Misuse, a wrong shape or size (``m`` outside ``[1, n]``, ``m > k``, a Gram
+of one column), raises plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,14 +27,6 @@ class ZeroColumn(IncoprojError):
         if context:
             msg = f"{msg} ({context})"
         super().__init__(msg)
-
-
-class InvalidRank(IncoprojError):
-    """Requested rank is outside the meaningful range for the given matrix."""
-
-
-class TooFewColumns(IncoprojError):
-    """Pairwise column statistics need at least two columns."""
 
 
 class EmptyAverage(IncoprojError):

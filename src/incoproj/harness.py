@@ -19,7 +19,7 @@ from itertools import groupby
 import numpy as np
 
 from .coherence import offdiag_histogram
-from .errors import ConfigError, InvalidRank
+from .errors import ConfigError
 from .linalg import as_dictionary, as_matrix, column_norms, gram
 from .matrixio import read_matrix, write_csv, write_histogram
 from .optimizers import Arm, Key, check_size, design, lookup
@@ -94,7 +94,7 @@ class ExperimentConfig:
             lookup(name, SWEEP_OPTIMIZERS)
             try:
                 check_size(name, self.n, self.k, self.m)
-            except (ValueError, InvalidRank) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"{name} arm: {exc}") from None
         if not self.S_range:
             raise ConfigError("S_range must be nonempty")

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import altproj, elad, sapiro
-from .errors import ConfigError, InvalidRank
+from .errors import ConfigError
 from .linalg import as_matrix
 
 _KIND_NAMES = {int: "integer", float: "number"}
@@ -122,7 +122,7 @@ def check_size(name: str, n: int, k: int, m) -> None:
     if OPTIMIZERS[name].gram_rank and k < 2:
         raise ValueError("need at least two atoms to optimize coherence")
     if OPTIMIZERS[name].gram_rank and m > k:
-        raise InvalidRank(f"m={m} exceeds k={k}: a Gram of k atoms has rank at most k")
+        raise ValueError(f"m={m} exceeds k={k}: a Gram of k atoms has rank at most k")
 
 
 def design(arm: Arm, D, m: int):

@@ -6,7 +6,9 @@ its stdout, its stderr and each file it writes, and its exit code.
 Each case runs through ``incoproj.cli.main`` in a fresh temporary directory
 that holds copies of ``inputs/``, at one BLAS thread as the CLI sets it.
 Record at the commit whose outputs are the reference.  A change that means to
-alter an output re-records, and names each changed case in CHANGES.md.
+alter an output re-records, and names each changed case in CHANGES.md: after
+writing, the script prints each case whose lines were added, changed or
+dropped against the file it replaced.
 """
 
 from __future__ import annotations
@@ -74,13 +76,30 @@ def read_digests() -> dict[str, dict[str, str]]:
     return recorded
 
 
+def changed_cases(before: dict[str, dict[str, str]], after: dict[str, dict[str, str]]) -> list[str]:
+    """One line per case whose recorded lines differ: ``added <case>``, ``dropped <case>``,
+    or ``changed <case>: <item> ...`` naming each item added, changed or dropped."""
+    report = []
+    for name in {**before, **after}:
+        old, new = before.get(name), after.get(name)
+        if new is None:
+            report.append(f"dropped {name}")
+        elif old is None:
+            report.append(f"added {name}")
+        elif old != new:
+            items = [item for item in {**old, **new} if old.get(item) != new.get(item)]
+            report.append(f"changed {name}: {' '.join(items)}")
+    return report
+
+
 def main() -> int:
-    lines = []
+    before = read_digests() if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in load_cases().items():
-            lines += [f"{name} {item} {value}" for item, value in run_case(argv, Path(tmp) / name).items()]
+        after = {name: run_case(argv, Path(tmp) / name) for name, argv in load_cases().items()}
+    lines = [f"{name} {item} {value}" for name, items in after.items() for item, value in items.items()]
     DIGESTS.write_text("\n".join(lines) + "\n")
-    print(f"recorded {len(lines)} digests of {len(load_cases())} cases to {DIGESTS}")
+    print(f"recorded {len(lines)} digests of {len(after)} cases to {DIGESTS}")
+    print("\n".join(changed_cases(before, after)) or "no case changed")
     return 0
 
 

@@ -26,3 +26,13 @@ def test_every_case_is_recorded():
 @pytest.mark.parametrize("name", list(CASES))
 def test_case_matches_its_recorded_digests(tmp_path, name):
     assert record_golden.run_case(CASES[name], tmp_path / name) == RECORDED[name]
+
+
+def test_a_rerecording_names_each_changed_case():
+    before = {"kept": {"exit": "0"}, "moved": {"exit": "0", "stdout": "a", "old.csv": "b"}, "gone": {"exit": "1"}}
+    after = {"kept": {"exit": "0"}, "moved": {"exit": "0", "stdout": "c", "new.csv": "d"}, "new": {"exit": "0"}}
+    assert record_golden.changed_cases(before, after) == [
+        "changed moved: stdout old.csv new.csv",
+        "dropped gone",
+        "added new",
+    ]

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incoproj import altproj, elad
+from incoproj import ExperimentConfig, altproj, elad, gram, mutual_coherence, t_average_coherence
 from incoproj.altproj import altproj_optimize
 from incoproj.elad import elad_optimize
-from incoproj.errors import ConfigError, InvalidRank, ZeroColumn
+from incoproj.errors import ConfigError, ZeroColumn
 from incoproj.optimizers import OPTIMIZERS, Arm, design, lookup
 from incoproj.sapiro import sapiro_optimize
 
@@ -172,19 +172,20 @@ class TestDesign:
         monkeypatch.setattr(elad, "shrink_elad", step)
         monkeypatch.setattr(altproj, "project_convex", step)
         D = np.random.default_rng(0).standard_normal((10, 6))  # m = 7 <= n, but a k = 6 Gram has rank <= 6
-        with pytest.raises(InvalidRank, match=r"^m=7 exceeds k=6: a Gram of k atoms has rank at most k$"):
+        with pytest.raises(ValueError, match=r"^m=7 exceeds k=6: a Gram of k atoms has rank at most k$") as exc:
             design(Arm(name, self.SMALL[name]), D, 7)
+        assert type(exc.value) is ValueError
         monkeypatch.undo()
         assert design(Arm(name, self.SMALL[name]), D, 6)[0].shape == (6, 10)
 
     def test_size_rules_are_stated_once(self):
-        # check_size holds every size rule; the optimizers trust design to call it
+        # check_size holds every size rule and raises its ValueError; the optimizers trust design to call it
         src = Path(__file__).resolve().parents[1] / "src" / "incoproj"
         offenders = []
         for name in ("elad.py", "altproj.py"):
             for node in ast.walk(ast.parse((src / name).read_text(), filename=name)):
-                if isinstance(node, ast.Name) and node.id == "InvalidRank":
-                    offenders.append(f"{name}:{node.lineno} InvalidRank")
+                if isinstance(node, ast.Name) and node.id == "ValueError":
+                    offenders.append(f"{name}:{node.lineno} ValueError")
                 if isinstance(node, ast.Compare):
                     parts = [part for side in (node.left, *node.comparators) for part in ast.walk(side)]
                     if any(isinstance(p, ast.Name) and p.id in ("n", "k", "m") for p in parts) or any(
@@ -211,3 +212,60 @@ class TestDesign:
         assert np.array_equal(design(Arm("fixed", {"P": P}), dictionary(), 4)[0], P)
         with pytest.raises(ValueError):
             design(Arm("fixed", {"P": P}), dictionary(), 3)
+
+
+
+def _design_call(name, n, k, m):
+    D = np.random.default_rng(0).standard_normal((n, k))
+    return lambda: design(Arm(name, {"seed": 0}), D, m)
+
+
+def _config(name, n, k, m):
+    return dict(n=n, k=k, m=m, S_range=(1,), N=1, dictionary_source="gaussian:5", optimizers=(Arm(name),))
+
+
+GRAM_1X1 = gram(np.ones((3, 1)))
+M_OVER_K = "m=7 exceeds k=6: a Gram of k atoms has rank at most k"
+ONE_ATOM = "need at least two atoms to optimize coherence"
+# A config's k field is bounded to k >= 2, so it rejects one atom before any arm's rule.
+K_BOUND = "k must be in (1, inf)"
+
+
+# Every size rule, through the call that breaks it, with its exact message;
+# and what an ExperimentConfig of the same sizes raises, where one can have them.
+@pytest.mark.parametrize(
+    "call, message, config, config_message",
+    [
+        pytest.param(_design_call("none", 8, 16, 0),
+                     "m=0 must be an integer in [1, n=8]: a projection has at most n rows",
+                     _config("none", 8, 16, 0),
+                     "none arm: m=0 must be an integer in [1, n=8]: a projection has at most n rows",
+                     id="m-below-1"),
+        pytest.param(_design_call("sapiro", 8, 16, 9),
+                     "m=9 must be an integer in [1, n=8]: a projection has at most n rows",
+                     _config("sapiro", 8, 16, 9),
+                     "sapiro arm: m=9 must be an integer in [1, n=8]: a projection has at most n rows",
+                     id="m-above-n"),
+        pytest.param(_design_call("elad", 10, 6, 7), M_OVER_K, _config("elad", 10, 6, 7),
+                     f"elad arm: {M_OVER_K}", id="elad-m-above-k"),
+        pytest.param(_design_call("altproj", 10, 6, 7), M_OVER_K, _config("altproj", 10, 6, 7),
+                     f"altproj arm: {M_OVER_K}", id="altproj-m-above-k"),
+        pytest.param(_design_call("elad", 6, 1, 1), ONE_ATOM, _config("elad", 6, 1, 1), K_BOUND,
+                     id="elad-one-atom"),
+        pytest.param(_design_call("altproj", 6, 1, 1), ONE_ATOM, _config("altproj", 6, 1, 1), K_BOUND,
+                     id="altproj-one-atom"),
+        pytest.param(lambda: mutual_coherence(GRAM_1X1),
+                     "mutual coherence needs at least two columns", None, None, id="mu-1x1-gram"),
+        pytest.param(lambda: t_average_coherence(GRAM_1X1, 0.1),
+                     "t-average coherence needs at least two columns", None, None, id="mu_t-1x1-gram"),
+    ],
+)
+def test_size_misuse_raises_plain_value_error(call, message, config, config_message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+    if config is not None:
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**config)
+        assert str(exc.value) == config_message
