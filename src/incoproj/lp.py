@@ -119,14 +119,13 @@ def solve_standard_lp(c, A, b) -> LPResult:
 
     # Near-degenerate complementary pairs can overflow x/s; any non-finite quantity means the
     # iterate is as good as it gets, so keep it and stop rather than poison the factorization.
+    # A non-finite x/s makes the normal matrix non-finite, which _chol_solve_factory refuses.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iterations in range(1, MAX_ITER + 1):
             r_b, r_c, mu, converged = residuals()
             if converged:
                 break
             d, xs, x_rc, neg_z = x / s, x * s, x * r_c, -z
-            if not np.isfinite(d).all():
-                break
             try:
                 solve = _chol_solve_factory((A * d) @ A.T)
             except np.linalg.LinAlgError:

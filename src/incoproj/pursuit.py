@@ -31,7 +31,8 @@ class RecoveryResult:
     """What a solver returns for one measurement vector, or for an m x B block.
 
     ``theta_hat`` is the length-k estimate, or k x B with one column per
-    measurement of a block.  ``iterations_or_pivots`` counts the atoms OMP
+    measurement of a block; OMP solves a vector as a one-column block and
+    returns that column.  ``iterations_or_pivots`` counts the atoms OMP
     selected (over every column of a block) or BP's interior-point
     iterations.  A block's ``status`` is CONVERGED only when every column
     converged.
@@ -57,7 +58,7 @@ def _problem(Dhat, y, block: bool = False) -> tuple[np.ndarray, np.ndarray]:
 
 
 def omp(Dhat, y, S: int) -> RecoveryResult:
-    """Orthogonal Matching Pursuit with full least-squares re-solve per step.
+    """Orthogonal Matching Pursuit with an exact least-squares fit on each grown support.
 
     Selects the column with the largest normalized correlation against the
     current residual (ties go to the smallest index), re-fits on the grown
@@ -66,40 +67,17 @@ def omp(Dhat, y, S: int) -> RecoveryResult:
     unused column.
 
     ``y`` is one measurement vector, or an m x B block (``np.ndim(y) == 2``)
-    whose columns are pursued in lockstep, each by the same rules; the
-    dictionary is checked once for the whole block.  See
-    :class:`RecoveryResult` for what each field holds for a block.
+    whose columns are pursued in lockstep, each by the same rules; a vector
+    is pursued as a one-column block, and the dictionary is checked once
+    for the whole block.  See :class:`RecoveryResult` for what each field
+    holds for a block.
     """
     block = np.ndim(y) == 2
     Dh, y = _problem(Dhat, y, block)
     if S < 0:
         raise ValueError("sparsity budget must be >= 0")
-    norms = column_norms(Dh, "effective dictionary")
-    if block:
-        return _omp_block(Dh, y, S, norms)
-    tol = RESIDUAL_TOL * float(np.linalg.norm(y))
-
-    support: list[int] = []
-    coef = np.empty(0)
-    r = y.copy()
-    while len(support) < S and float(np.linalg.norm(r)) > tol:
-        scores = np.abs(Dh.T @ r) / norms
-        if support:
-            scores[support] = -1.0
-        j = int(np.argmax(scores))  # first occurrence: smallest index on ties
-        if scores[j] <= 1e-13 * max(float(np.linalg.norm(r)), 1e-300):
-            break  # residual orthogonal to every unused column; no progress possible
-        support.append(j)
-        sub = Dh[:, support]
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        r = y - sub @ coef
-
-    theta = np.zeros(Dh.shape[1])
-    if support:
-        theta[support] = coef
-    residual = float(np.linalg.norm(y - Dh @ theta))
-    status = RecoveryStatus.CONVERGED if residual <= tol else RecoveryStatus.MAX_ITER
-    return RecoveryResult(theta, len(support), status)
+    res = _omp_block(Dh, y if block else y[:, None], S, column_norms(Dh, "effective dictionary"))
+    return res if block else RecoveryResult(res.theta_hat[:, 0], res.iterations_or_pivots, res.status)
 
 
 def _omp_block(Dh: np.ndarray, Y: np.ndarray, S: int, norms: np.ndarray) -> RecoveryResult:
@@ -115,47 +93,54 @@ def _omp_block(Dh: np.ndarray, Y: np.ndarray, S: int, norms: np.ndarray) -> Reco
     m, k = Dh.shape
     S = min(S, k)  # a support holds at most k atoms; the buffers below are sized by S
     B = Y.shape[1]
-    tol = RESIDUAL_TOL * np.linalg.norm(Y, axis=0)
     Theta = np.zeros((k, B))
-    cols = np.arange(B)  # the columns still growing
-    Yc = Y.T.copy()  # their signals, one per row
-    R = Yc.copy()  # and their residuals
+    # The columns still growing: their indices, signals (one per row) and tolerances.
+    cols, Yc = np.arange(B), Y.T.copy()
+    tol = tols = RESIDUAL_TOL * np.sqrt(np.vecdot(Yc, Yc))
+    R = Yc  # their residuals
+    rows = np.arange(0, k * B, k)  # where row i of a scores matrix starts, flattened
     # Step s fills slice s of each buffer; only U's upper triangle is read.
     Q = np.empty((B, S, m))
     U = np.empty((B, S, S))
     z = np.empty((B, S))  # Q @ signal
     support = np.empty((B, S), dtype=int)
+    used = np.zeros((B, k), dtype=bool)  # the atoms each support holds
     atoms = 0
     for s in range(S):
-        rnorm = np.linalg.norm(R, axis=1)
+        rnorm = np.sqrt(np.vecdot(R, R))  # per row, np.linalg.norm of a vector bit for bit
         scores = np.abs(R @ Dh) / norms
-        rows = np.arange(cols.size)
-        scores[rows[:, None], support[:, :s]] = -1.0
-        j = np.argmax(scores, axis=1)  # first occurrence: smallest index on ties
-        grow = (rnorm > tol[cols]) & (scores[rows, j] > 1e-13 * np.maximum(rnorm, 1e-300))
+        np.copyto(scores, -1.0, where=used)
+        j = scores.argmax(axis=1)  # first occurrence: smallest index on ties
+        at = rows[: cols.size] + j
+        grow = (rnorm > tols) & (scores.reshape(-1)[at] > 1e-13 * np.maximum(rnorm, 1e-300))
+        used.reshape(-1)[at] = True  # a column that stops here is dropped below
         if not grow.all():
             _place(Theta, cols[~grow], support[~grow, :s], U[~grow, :s, :s], z[~grow, :s])
-            cols, Yc, Q, U, z, support, j = (a[grow] for a in (cols, Yc, Q, U, z, support, j))
+            cols, Yc, tols, Q, U, z, support, used, j = (
+                a[grow] for a in (cols, Yc, tols, Q, U, z, support, used, j))
             if not cols.size:
                 break
         v = Dh.T[j]  # the new atoms, one per row (a copy)
-        h = np.zeros((cols.size, s))
-        for _ in range(2):
-            c = np.einsum("bsm,bm->bs", Q[:, :s], v)
-            v -= np.einsum("bsm,bs->bm", Q[:, :s], c)
-            h += c
-        diag = np.linalg.norm(v, axis=1)
+        if s:
+            Qs = Q[:, :s]
+            h = np.matvec(Qs, v)
+            v -= np.vecmat(h, Qs)
+            c = np.matvec(Qs, v)
+            v -= np.vecmat(c, Qs)
+            U[:, :s, s] = h + c
+        diag = np.sqrt(np.vecdot(v, v))
         Q[:, s] = v / diag[:, None]
-        U[:, :s, s] = h
         U[:, s, s] = diag
-        z[:, s] = np.einsum("bm,bm->b", Q[:, s], Yc)
+        z[:, s] = np.vecdot(Q[:, s], Yc)
         support[:, s] = j
-        R = Yc - np.einsum("bsm,bs->bm", Q[:, : s + 1], z[:, : s + 1])
+        R = Yc - np.vecmat(z[:, : s + 1], Q[:, : s + 1])
         atoms += cols.size
-    _place(Theta, cols, support, U, z)  # every step ran, or no column is left
+    else:  # every step ran: place the columns still growing
+        _place(Theta, cols, support, U, z)
 
-    residual = np.linalg.norm(Y - Dh @ Theta, axis=0)
-    status = RecoveryStatus.CONVERGED if np.all(residual <= tol) else RecoveryStatus.MAX_ITER
+    E = Y - Dh @ Theta
+    residual = np.sqrt(np.vecdot(E, E, axis=0))
+    status = RecoveryStatus.CONVERGED if (residual <= tol).all() else RecoveryStatus.MAX_ITER
     return RecoveryResult(Theta, atoms, status)
 
 
@@ -163,7 +148,7 @@ def _place(Theta: np.ndarray, cols: np.ndarray, support: np.ndarray, U: np.ndarr
     """Solve U @ coef = z per column by back substitution; write coef into Theta."""
     coef = np.empty_like(z)
     for i in reversed(range(z.shape[1])):
-        tail = np.einsum("bl,bl->b", U[:, i, i + 1 :], coef[:, i + 1 :])
+        tail = np.vecdot(U[:, i, i + 1 :], coef[:, i + 1 :])
         coef[:, i] = (z[:, i] - tail) / U[:, i, i]
     Theta[support, cols[:, None]] = coef
 

@@ -1,7 +1,7 @@
 """Record the golden CLI corpus: for every case in cases.txt, the SHA-256 of
 its stdout, its stderr and each file it writes, and its exit code.
 
-    PYTHONPATH=src python tests/golden/record_golden.py
+    PYTHONPATH=src python tests/golden/record_golden.py [--keep DIR] [--against DIR]
 
 Each case runs through ``incoproj.cli.main`` in a fresh temporary directory
 that holds copies of ``inputs/``, at one BLAS thread as the CLI sets it.
@@ -9,13 +9,21 @@ Record at the commit whose outputs are the reference.  A change that means to
 alter an output re-records, and names each changed case in CHANGES.md: after
 writing, the script prints each case whose lines were added, changed or
 dropped against the file it replaced.
+
+``--keep DIR`` copies each case's directory to ``DIR/<case>``.  Run so at the
+parent commit, ``--against DIR`` at the change then also prints, for each
+changed CSV file, the largest absolute difference between its numeric cells
+and the kept file's, and whether every other cell is equal.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import math
 import os
 import shlex
 import shutil
@@ -92,14 +100,49 @@ def changed_cases(before: dict[str, dict[str, str]], after: dict[str, dict[str, 
     return report
 
 
-def main() -> int:
+def csv_difference(old: Path, new: Path) -> tuple[float, bool]:
+    """The largest absolute difference between cells of two CSV files that both read
+    as numbers, and whether every other cell, and the files' shapes, are equal."""
+    with old.open(newline="") as a, new.open(newline="") as b:
+        old_rows, new_rows = list(csv.reader(a)), list(csv.reader(b))
+    largest, equal = 0.0, len(old_rows) == len(new_rows)
+    for old_row, new_row in zip(old_rows, new_rows):
+        equal &= len(old_row) == len(new_row)
+        for x, y in zip(old_row, new_row):
+            if x == y:
+                continue
+            try:
+                delta = abs(float(x) - float(y))
+            except ValueError:
+                delta = math.nan
+            if math.isnan(delta):
+                equal = False
+            else:
+                largest = max(largest, delta)
+    return largest, equal
+
+
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Record the golden CLI corpus to digests.txt.")
+    parser.add_argument("--keep", type=Path, help="copy each case's directory to KEEP/<case>")
+    parser.add_argument("--against", type=Path, help="compare each changed CSV file with AGAINST/<case>/<file>")
+    opts = parser.parse_args(args)
     before = read_digests() if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         after = {name: run_case(argv, Path(tmp) / name) for name, argv in load_cases().items()}
-    lines = [f"{name} {item} {value}" for name, items in after.items() for item, value in items.items()]
-    DIGESTS.write_text("\n".join(lines) + "\n")
-    print(f"recorded {len(lines)} digests of {len(after)} cases to {DIGESTS}")
-    print("\n".join(changed_cases(before, after)) or "no case changed")
+        lines = [f"{name} {item} {value}" for name, items in after.items() for item, value in items.items()]
+        DIGESTS.write_text("\n".join(lines) + "\n")
+        print(f"recorded {len(lines)} digests of {len(after)} cases to {DIGESTS}")
+        print("\n".join(changed_cases(before, after)) or "no case changed")
+        if opts.against:
+            for name, items in after.items():
+                for item, digest in items.items():
+                    if item.endswith(".csv") and before.get(name, {}).get(item, digest) != digest:
+                        largest, equal = csv_difference(opts.against / name / item, Path(tmp) / name / item)
+                        other = "equal" if equal else "DIFFER"
+                        print(f"  {name} {item}: largest |delta| {largest:.2e}, other cells {other}")
+        if opts.keep:
+            shutil.copytree(tmp, opts.keep, dirs_exist_ok=True)
     return 0
 
 

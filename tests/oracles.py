@@ -28,6 +28,11 @@ the same LAPACK call, and must return the same bits.
 ``reference_standard_lp`` is the interior-point loop of ``lp`` with one
 numpy call per quantity, as it stood before x and s were stacked into one
 array; ``lp.solve_standard_lp`` must return the same bytes.
+
+``reference_omp`` is OMP on one measurement vector with a full
+least-squares re-solve per step; ``pursuit.omp`` grows a QR factorization
+of each support instead, and must select the same atoms and agree with it
+to rounding.
 """
 
 import itertools
@@ -40,9 +45,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
 
 from incoproj.dictlearn import _reseed_atom
-from incoproj.linalg import ZERO_TOL
+from incoproj.linalg import ZERO_TOL, column_norms
 from incoproj.lp import MAX_ITER, TOL, LPResult
-from incoproj.pursuit import _problem
+from incoproj.pursuit import RESIDUAL_TOL, RecoveryResult, RecoveryStatus, _problem
 
 # Supports enumerated by the exhaustive oracle are capped at this count.
 ENUMERATION_GUARD = 10**6
@@ -125,6 +130,37 @@ def exhaustive_sparsest(Dhat, y, S_max: int, tol: float) -> tuple[np.ndarray, in
             first = hits[0]
             return first, tested, all(float(np.max(np.abs(h - first))) <= tol for h in hits[1:])
     raise NotFound(f"no support of size <= {S_max} fits within tol={tol}")
+
+
+def reference_omp(Dhat, y, S: int) -> RecoveryResult:
+    """``pursuit.omp`` on one vector, re-fitting each grown support by ``np.linalg.lstsq``."""
+    Dh, y = _problem(Dhat, y)
+    if S < 0:
+        raise ValueError("sparsity budget must be >= 0")
+    norms = column_norms(Dh, "effective dictionary")
+    tol = RESIDUAL_TOL * float(np.linalg.norm(y))
+
+    support: list[int] = []
+    coef = np.empty(0)
+    r = y.copy()
+    while len(support) < S and float(np.linalg.norm(r)) > tol:
+        scores = np.abs(Dh.T @ r) / norms
+        if support:
+            scores[support] = -1.0
+        j = int(np.argmax(scores))  # first occurrence: smallest index on ties
+        if scores[j] <= 1e-13 * max(float(np.linalg.norm(r)), 1e-300):
+            break  # residual orthogonal to every unused column; no progress possible
+        support.append(j)
+        sub = Dh[:, support]
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        r = y - sub @ coef
+
+    theta = np.zeros(Dh.shape[1])
+    if support:
+        theta[support] = coef
+    residual = float(np.linalg.norm(y - Dh @ theta))
+    status = RecoveryStatus.CONVERGED if residual <= tol else RecoveryStatus.MAX_ITER
+    return RecoveryResult(theta, len(support), status)
 
 
 def where_convex_projection(G, t: float) -> np.ndarray:

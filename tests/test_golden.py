@@ -36,3 +36,14 @@ def test_a_rerecording_names_each_changed_case():
         "dropped gone",
         "added new",
     ]
+
+
+def test_a_changed_csv_reports_its_largest_numeric_difference(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("S,status,error\n1,converged,0.5\n2,max_iter,inf\n")
+    new.write_text("S,status,error\n1,converged,0.5000000000000003\n2,max_iter,inf\n")
+    assert record_golden.csv_difference(old, new) == (abs(0.5 - 0.5000000000000003), True)
+    new.write_text("S,status,error\n1,max_iter,0.25\n2,max_iter,nan\n")
+    assert record_golden.csv_difference(old, new) == (0.25, False)
+    new.write_text("S,status,error\n1,converged,0.5\n")
+    assert record_golden.csv_difference(old, new) == (0.0, False)

@@ -311,7 +311,7 @@ class TestRunSweep:
         assert {r["status"] for r in trial_records(sweep)} <= {s.value for s in RecoveryStatus}
 
     def test_linalg_error_recorded_as_failed_trial(self, monkeypatch):
-        # lstsq raises LinAlgError when its SVD does not converge
+        # a solver's LinAlgError (basis_pursuit's lstsq raises one when its SVD does not converge)
         calls = []
 
         def flaky_omp(*args):

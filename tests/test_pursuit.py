@@ -15,7 +15,7 @@ from incoproj import lp, pursuit
 from incoproj.lp import solve_standard_lp
 from incoproj.errors import ZeroColumn
 
-from oracles import NotFound, TooLarge, exhaustive_sparsest
+from oracles import NotFound, TooLarge, exhaustive_sparsest, reference_omp
 
 from synthetic import gaussian_dictionary, incoherent_frame, planted_signals
 
@@ -176,15 +176,20 @@ class TestOMP:
 
     @staticmethod
     def assert_block_matches_vectors(D, Y, S):
-        """Every column of the block solve is the vector solve of that column."""
+        """Every column of the block solve is the reference vector solve of that column,
+        and a vector is solved as the one-column block that holds it."""
         block = omp(D, Y, S)
-        singles = [omp(D, y, S) for y in Y.T]
+        singles = [reference_omp(D, y, S) for y in Y.T]
         assert block.theta_hat.shape == (D.shape[1], Y.shape[1])
         for i, single in enumerate(singles):
             col = block.theta_hat[:, i]
             assert np.flatnonzero(col).tolist() == np.flatnonzero(single.theta_hat).tolist()
             assert np.linalg.norm(col - single.theta_hat) <= 1e-12 * np.linalg.norm(single.theta_hat)
-            assert omp(D, Y[:, [i]], S).status is single.status
+            vector, one = omp(D, Y[:, i], S), omp(D, Y[:, [i]], S)
+            assert one.status is single.status
+            assert vector.theta_hat.tobytes() == one.theta_hat[:, 0].tobytes()
+            assert vector.iterations_or_pivots == one.iterations_or_pivots
+            assert vector.status is one.status
         assert block.iterations_or_pivots == sum(r.iterations_or_pivots for r in singles)
         all_converged = all(r.status is RecoveryStatus.CONVERGED for r in singles)
         assert (block.status is RecoveryStatus.CONVERGED) == all_converged
