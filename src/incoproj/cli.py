@@ -208,6 +208,8 @@ def main(argv=None) -> int:
     try:
         # A job writes its outputs last; refuse an --out-dir at or below a file before any work.
         out_dir = existing = getattr(args, "out_dir", None)
+        if out_dir == "":
+            raise ConfigError("--out-dir is empty: name a directory")
         while existing and not os.path.exists(existing):
             existing = os.path.dirname(existing)
         if existing and not os.path.isdir(existing):

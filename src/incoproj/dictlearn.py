@@ -73,7 +73,7 @@ def atom_update_sweep(
         if omega.size:
             E = R[:, omega] + A[:, j, None] * row[omega]
             u = top_eigh(E @ E.T, 1)[1][:, 0]
-            d, nrm = _with_norm(solve(u))
+            nrm = float(np.linalg.norm(d := solve(u)))
             if nrm > ZERO_TOL:
                 D[:, j] = d / nrm
                 Theta[j, omega] = (u @ E) * nrm
@@ -92,10 +92,6 @@ def _identity(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _with_norm(d: np.ndarray) -> tuple[np.ndarray, float]:
-    return d, float(np.linalg.norm(d))
-
-
 def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve) -> np.ndarray:
     """The one re-seed rule: the worst-represented column of X (by R) not yet
     in ``seeds``, ties to the smallest index, mapped by ``solve`` and made unit;
@@ -106,7 +102,7 @@ def _reseed_atom(X, R, seeds: list[int], rng, n: int, solve) -> np.ndarray:
         err[seeds] = -1.0
         seeds.append(int(np.argmax(err)))
         worst = X[:, seeds[-1]]
-        d, nrm = _with_norm(solve(worst))
+        nrm = float(np.linalg.norm(d := solve(worst)))
         if nrm > ZERO_TOL:
             return d / nrm
     d = rng.standard_normal(n)

@@ -85,6 +85,8 @@ class ExperimentConfig:
             if f.type in (int, float, str):
                 value = Key(f.name, f.type, **f.metadata).parse(getattr(self, f.name), f.name)
                 object.__setattr__(self, f.name, value)
+        # Each level as a Python int: derive_seed hashes the repr of its tags.
+        object.__setattr__(self, "S_range", tuple(Key("S_range", int).parse(S, "S_range") for S in self.S_range))
         names = [arm.name for arm in self.optimizers]
         if not names:
             raise ConfigError("at least one optimizer arm required")

@@ -74,8 +74,10 @@ def solve_standard_lp(c, A, b) -> LPResult:
 
     Convergence requires relative primal and dual infeasibility and the
     relative duality gap all at or below ``TOL`` within ``MAX_ITER``
-    iterations.  The last iterate and its iteration count are reported
-    either way; callers certify the solution against their own tolerance.
+    iterations.  The loop ends when it converges, when the normal matrix is
+    refused, at a non-positive step, at a non-finite iterate, or at the cap;
+    the last iterate and its iteration count are reported either way.
+    Callers certify the solution against their own tolerance.
     Sizes are not checked: :func:`~incoproj.pursuit.basis_pursuit` passes checked arrays.
     """
     n_vars = A.shape[1]
@@ -119,7 +121,8 @@ def solve_standard_lp(c, A, b) -> LPResult:
 
     # Near-degenerate complementary pairs can overflow x/s; any non-finite quantity means the
     # iterate is as good as it gets, so keep it and stop rather than poison the factorization.
-    # A non-finite x/s makes the normal matrix non-finite, which _chol_solve_factory refuses.
+    # A non-finite x/s makes the normal matrix non-finite, which _chol_solve_factory refuses;
+    # a non-finite predictor or sigma makes dz non-finite, which the step or iterate check ends.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iterations in range(1, MAX_ITER + 1):
             r_b, r_c, mu, converged = residuals()
@@ -133,13 +136,9 @@ def solve_standard_lp(c, A, b) -> LPResult:
 
             # Predictor (affine scaling) direction.
             dz_a, _ = newton(-xs)
-            if not np.isfinite(dz_a).all():
-                break
             alpha_p, alpha_d = step_lengths(dz_a)
             mu_aff = float((x + alpha_p * dz_a[:n_vars]) @ (s + alpha_d * dz_a[n_vars:])) / n_vars
             sigma = _centering(mu_aff, mu)
-            if not math.isfinite(sigma):
-                break
 
             # Corrector direction with centering.
             dz, dlam = newton(sigma * mu - xs - dz_a[:n_vars] * dz_a[n_vars:])

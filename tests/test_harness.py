@@ -139,6 +139,8 @@ class TestExperimentConfig:
              "altproj arm: m=7 exceeds k=6: a Gram of k atoms has rank at most k"),
             # a planted signal has at most k nonzeros; S=4 would fail after S=1..3 ran
             (dict(n=10, k=3, m=8, S_range=(1, 2, 3, 4)), "S <= k=3"),
+            # a level is an integer, as every integer field is
+            (dict(S_range=(1, 1.5)), "'S_range': expected integer, got 1.5"),
         ],
     )
     def test_rejects_meaningless_sweeps(self, overrides, message):
@@ -160,6 +162,16 @@ class TestExperimentConfig:
         assert type(cfg.N) is int and type(cfg.failure_threshold) is float
         with pytest.raises(ConfigError, match="'N'"):
             tiny_config(N=2.5)
+
+    @pytest.mark.parametrize("levels", [(1, 2), [1, 2], tuple(np.arange(1, 3)), np.arange(1, 3)],
+                             ids=["tuple", "list", "numpy-int-tuple", "numpy-array"])
+    def test_levels_are_python_ints(self, levels):
+        # derive_seed hashes the repr of its tags, and repr(np.int64(1)) is 'np.int64(1)'.
+        shape = dict(n=8, k=12, m=5, N=3, optimizers=(Arm("none"),), solver="omp", master_seed=4)
+        cfg = tiny_config(S_range=levels, **shape)
+        assert cfg.S_range == (1, 2) and all(type(S) is int for S in cfg.S_range)
+        expected = tiny_config(S_range=(1, 2), **shape)
+        assert list(run_sweep(cfg).trial_rows()) == list(run_sweep(expected).trial_rows())
 
     def test_source_takes_its_canonical_form(self):
         assert tiny_config(dictionary_source="gaussian: 05").dictionary_source == "gaussian:5"
@@ -866,6 +878,37 @@ class TestCLI:
         assert main(["bench", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == "error: failure_threshold must be in (0, inf)\n"
         assert not out.exists()
+
+    def test_bench_refuses_an_empty_out_dir_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text(CONFIG_TEXT)
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: pytest.fail("the sweep ran"))
+        assert main(["bench", "--config", str(cfg_path), "--out-dir", ""]) == 1
+        assert capsys.readouterr().err == "error: --out-dir is empty: name a directory\n"
+
+    def test_single_arm_runs_join_to_the_full_run(self, tmp_path):
+        # Each arm depends only on the config, its P and per-S seeds: one config per arm,
+        # without the other arms' keys, gives the full run's rows for that arm.
+        arm_keys = {"none": "", "elad": "elad.iterations = 3\n", "sapiro": "",
+                    "altproj": "altproj.iterations = 3\n"}
+        base = "n = 10\nk = 20\nm = 6\nS_range = 1-2\nN = 4\nsolver = both\nmaster_seed = 5\n"
+
+        def bench(name, arms):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(base + f"optimizers = {', '.join(arms)}\n" + "".join(arm_keys[a] for a in arms))
+            assert main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / name)]) == 0
+            return tmp_path / name
+
+        full = bench("full", list(arm_keys))
+        parts = [bench(arm, [arm]) for arm in arm_keys]
+        for name in ("trials.csv", "summary.csv"):
+            header, *_ = (full / name).read_bytes().splitlines(keepends=True)
+            bodies = [(part / name).read_bytes().splitlines(keepends=True) for part in parts]
+            assert all(body[0] == header for body in bodies)
+            assert header + b"".join(line for body in bodies for line in body[1:]) == (full / name).read_bytes()
+        for arm, part in zip(arm_keys, parts):
+            hist = f"gram_hist_{arm}.csv"
+            assert (part / hist).read_bytes() == (full / hist).read_bytes()
 
     def test_bench_missing_config(self, tmp_path, capsys):
         rc = main(["bench", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])

@@ -7,8 +7,9 @@ the iteration count and the converged flag must be equal, bytes and all.
 The programs: split BP programs at desk shape (12x100) and paper shape
 (30x400), TestLP's problems, and constructed programs that end the loop at
 each of its exits.  A trace of the reference's lines names the exit taken.
-Only the non-finite sigma check has no program: mu_aff must be NaN there,
-and no scaled random program (scales 1e-250 to 1e305) reached it.
+The reference's non-finite direction and non-finite sigma exits are gone from
+``lp``: there the corrector's direction is non-finite too, so its step or
+iterate check ends the loop at the same iteration with the same iterate.
 """
 
 import inspect
@@ -111,6 +112,15 @@ def random_lp(seed, scale):
     return rng.standard_normal(n), A, b
 
 
+def redrawn_lp(seed, draws):
+    """random_lp's shapes for ``seed``, unscaled: the last of ``draws`` draws of A, b and c from one generator."""
+    rng = np.random.default_rng(seed)
+    m, n = 2 + seed % 3, 5 + seed % 4
+    for _ in range(draws):
+        A, b, c = rng.standard_normal((m, n)), rng.standard_normal(m), rng.standard_normal(n)
+    return c, A, b
+
+
 @pytest.mark.parametrize(
     "exit, program",
     [
@@ -120,6 +130,8 @@ def random_lp(seed, scale):
         # Unbounded: min -x1 with x1 = x2; x grows until x/s overflows.
         pytest.param("non-finite d", (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.zeros(1)), id="non-finite-d"),
         pytest.param("non-finite direction", random_lp(14, 1.0), id="non-finite-direction"),
+        # mu_aff is NaN at iteration 97; a search over 33,000 random programs found this one.
+        pytest.param("non-finite sigma", redrawn_lp(1217, 4), id="non-finite-sigma"),
         # Infeasible: x1 + x2 = -1 with x >= 0; the steps shrink to nothing.
         pytest.param("zero step", (np.ones(2), np.ones((1, 2)), -np.ones(1)), id="zero-step"),
         pytest.param("non-finite iterate", random_lp(3, 1.0), id="non-finite-iterate"),
