@@ -17,7 +17,7 @@ from .coherence import mutual_coherence, offdiag_histogram, t_average_coherence
 from .dictlearn import coupled_ksvd, ksvd
 from .errors import ConfigError, EmptyAverage, IncoprojError
 from .harness import derive_seed, emit_reports, load_config, load_dictionary, run_sweep
-from .linalg import gram, set_blas_threads
+from .linalg import gram, retain_freed_memory, set_blas_threads
 from .matrixio import Trace, read_matrix, write_histogram, write_matrix
 from .optimizers import DEFAULT_T, OPTIMIZERS, SEED, Arm, design
 
@@ -203,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if "OPENBLAS_NUM_THREADS" not in os.environ:
         set_blas_threads(1)
+    retain_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

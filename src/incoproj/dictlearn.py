@@ -15,6 +15,7 @@ stacked atom back to signal space through the overdetermined system
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable
 
@@ -69,16 +70,21 @@ def atom_update_sweep(
     seeds: list[int] = []  # training columns that re-seeded an atom in this pass
     for j in range(D.shape[1]):
         row = Theta[j]
-        omega = np.flatnonzero(row)
+        omega = row.nonzero()[0]
         if omega.size:
-            E = R[:, omega] + A[:, j, None] * row[omega]
+            E = R.take(omega, axis=1)
+            E += A[:, j, None] * row[omega]
             u = top_eigh(E @ E.T, 1)[1][:, 0]
-            nrm = float(np.linalg.norm(d := solve(u)))
+            d = solve(u)
+            nrm = math.sqrt(d.dot(d))  # np.linalg.norm of a vector, bit for bit
             if nrm > ZERO_TOL:
                 D[:, j] = d / nrm
-                Theta[j, omega] = (u @ E) * nrm
+                coef = u @ E
+                coef *= nrm
+                Theta[j, omega] = coef
                 A[:, j] = W @ D[:, j]
-                R[:, omega] = E - A[:, j, None] * Theta[j, omega]
+                E -= A[:, j, None] * coef
+                R[:, omega] = E
                 continue
             Theta[j, omega] = 0.0  # emptied: its share returns to R, and it is unused
             R[:, omega] = E
@@ -210,6 +216,13 @@ def coupled_ksvd(
         raise ValueError("X and Y must have the same number of columns")
     m, n = Y.shape[0], X.shape[0]
 
+    # The stacked data and lam^2 I do not change across outer iterations.
+    # `+ 0.0` canonicalizes -0.0 from lam * (negative): at lam = 0 the top
+    # block must not leak X's sign bits into LAPACK branch choices, or
+    # Theta loses its exact invariance to X.
+    Z = np.vstack([lam * X + 0.0, Y])
+    lam_eye = lam * np.eye(n)
+    lam2_eye = lam * lam * np.eye(n)
     term1_hist: list[float] = []
     term2_hist: list[float] = []
     replacements: list[tuple[int, int]] = []
@@ -217,16 +230,12 @@ def coupled_ksvd(
     for it in range(iterations):
         P = design(inner, D, m)[0]
 
-        M = lam * lam * np.eye(n) + P.T @ P
+        M = lam2_eye + P.T @ P
         L, info = dpotrf(M, lower=1, clean=0)
         if info or dpocon(L, np.linalg.norm(M, 1), uplo="L")[0] <= 1e-12:
             raise SingularSystem("lam^2 I + P.T P is numerically singular")
 
-        W = np.vstack([lam * np.eye(n), P])
-        # `+ 0.0` canonicalizes -0.0 from lam * (negative): at lam = 0 the
-        # top block must not leak X's sign bits into LAPACK branch choices,
-        # or Theta loses its exact invariance to X.
-        Z = np.vstack([lam * X + 0.0, Y])
+        W = np.vstack([lam_eye, P])
         Theta = sparse_code(Z, W @ D, S)
         backmap = (W, lambda u: dpotrs(L, W.T @ u, lower=1)[0])
         for j in atom_update_sweep(Z, D, Theta, rng, backmap):

@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby
 
@@ -85,6 +86,9 @@ class ExperimentConfig:
             if f.type in (int, float, str):
                 value = Key(f.name, f.type, **f.metadata).parse(getattr(self, f.name), f.name)
                 object.__setattr__(self, f.name, value)
+        # A string iterates by character, so "12" would read as levels 1 and 2.
+        if isinstance(self.S_range, (str, bytes)) or not isinstance(self.S_range, Iterable):
+            raise ConfigError(f"key 'S_range': expected a sequence of integers, got {self.S_range!r}")
         # Each level as a Python int: derive_seed hashes the repr of its tags.
         object.__setattr__(self, "S_range", tuple(Key("S_range", int).parse(S, "S_range") for S in self.S_range))
         names = [arm.name for arm in self.optimizers]

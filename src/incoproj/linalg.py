@@ -23,6 +23,7 @@ loaded first, and each call is the same call.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import importlib.machinery
 import importlib.util
@@ -73,6 +74,32 @@ def set_blas_threads(count: int) -> None:
                 if setter is not None:
                     setter.argtypes, setter.restype = [ctypes.c_int], None
                     setter(count)
+
+
+# glibc's mallopt parameters, and the sizes set for them.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
+@functools.cache
+def retain_freed_memory() -> None:
+    """Keep freed blocks of up to a few MB in the process heap (glibc's ``mallopt``).
+
+    A learning step frees numpy temporaries of a few hundred KB (the OMP
+    scores of a 1000-signal block, a residual) and allocates them again
+    at the next step.  By default glibc serves such a block from a fresh
+    mapping, or trims the heap top it leaves, so each step faults its pages
+    in again.  Blocks below ``MMAP_THRESHOLD`` come from the heap, and up to
+    ``TRIM_THRESHOLD`` of free heap top stays mapped.  The setting changes
+    no result.  It is made once per process; later calls return at once.
+    Where libc has no ``mallopt`` this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -129,23 +156,31 @@ def top_eigh(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     each eigenvector's first nonzero component made positive.  The caller
     gives a symmetric, finite ``A`` (LAPACK reads only its lower triangle);
     ``m`` at or above its order gives the full decomposition.  A subset is
-    one ``dsyevr`` call with its queried workspace, the call that
-    ``scipy.linalg.eigh(A, subset_by_index=...)`` makes after its checks.
+    one ``dsyevr`` call with its queried workspace (queried once per
+    order), the call that ``scipy.linalg.eigh(A, subset_by_index=...)``
+    makes after its checks.  ``V`` is C-contiguous.
     """
     k = A.shape[0]
     if m >= k:
         w, V = np.linalg.eigh(A)
     else:
-        lwork, liwork, _ = dsyevr_lwork(k, lower=1)
+        lwork, liwork = _dsyevr_work(k)
         w, V, found, _, info = dsyevr(A, compute_v=1, range="I", il=k - m + 1, iu=k, lower=1,
-                                      lwork=int(lwork), liwork=liwork)
+                                      lwork=lwork, liwork=liwork)
         if info:
             raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
         w, V = w[:found], V[:, :found]
-    V = np.array(V[:, ::-1])
+    V = V[:, ::-1]
     first = np.argmax(V != 0.0, axis=0)
-    V[:, V[first, np.arange(V.shape[1])] < 0] *= -1.0
-    return w[::-1], V
+    sign = np.where(V[first, np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    return w[::-1], np.multiply(V, sign, order="C")
+
+
+@functools.cache
+def _dsyevr_work(order: int) -> tuple[int, int]:
+    """``dsyevr``'s queried workspace sizes ``(lwork, liwork)`` for a matrix of this order."""
+    lwork, liwork, _ = dsyevr_lwork(order, lower=1)
+    return int(lwork), int(liwork)
 
 
 def symmetric_rank_truncate(G, m: int) -> np.ndarray:
@@ -167,7 +202,8 @@ def sqrt_factor(G, m: int) -> np.ndarray:
     left negative count as zero, and rows of ``S`` beyond the rank are zero.
     """
     w, V = top_eigh(G, m)
-    return np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
+    # C order: the product S @ pinv(D) that the optimizers take rounds by S's layout.
+    return np.multiply(np.sqrt(np.clip(w, 0.0, None))[:, None], V.T, order="C")
 
 
 def lsq_projection(S, D) -> np.ndarray:

@@ -105,10 +105,13 @@ def _omp_block(Dh: np.ndarray, Y: np.ndarray, S: int, norms: np.ndarray) -> Reco
     z = np.empty((B, S))  # Q @ signal
     support = np.empty((B, S), dtype=int)
     used = np.zeros((B, k), dtype=bool)  # the atoms each support holds
+    scores_buf = np.empty((B, k))  # each step's scores fill its first rows
     atoms = 0
     for s in range(S):
         rnorm = np.sqrt(np.vecdot(R, R))  # per row, np.linalg.norm of a vector bit for bit
-        scores = np.abs(R @ Dh) / norms
+        scores = np.matmul(R, Dh, out=scores_buf[: cols.size])
+        np.abs(scores, out=scores)
+        np.divide(scores, norms, out=scores)
         np.copyto(scores, -1.0, where=used)
         j = scores.argmax(axis=1)  # first occurrence: smallest index on ties
         at = rows[: cols.size] + j

@@ -141,6 +141,9 @@ class TestExperimentConfig:
             (dict(n=10, k=3, m=8, S_range=(1, 2, 3, 4)), "S <= k=3"),
             # a level is an integer, as every integer field is
             (dict(S_range=(1, 1.5)), "'S_range': expected integer, got 1.5"),
+            # levels come as a sequence: not one number, and not a string of digits
+            (dict(S_range=3), "'S_range': expected a sequence of integers, got 3"),
+            (dict(S_range="12"), "'S_range': expected a sequence of integers, got '12'"),
         ],
     )
     def test_rejects_meaningless_sweeps(self, overrides, message):

@@ -128,6 +128,30 @@ class TestEigh:
         assert V.shape == (k, m)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
 
+    @pytest.mark.parametrize("m", [1, 3, 6, 7], ids=["m=1", "1<m<k", "m=k", "m>k"])
+    def test_eigenvectors_are_c_contiguous_and_match_the_oracle(self, m):
+        A = np.random.default_rng(m).standard_normal((6, 6))
+        A = A + A.T
+        w, V = top_eigh(A, m)
+        w_ref, V_ref = reference_top_eigh(A, m)
+        assert V.flags.c_contiguous and V.shape == (6, min(m, 6))
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+    @pytest.mark.parametrize("m", [1, 2, 4], ids=["m=1", "1<m<k", "m=k"])
+    def test_sign_rule_skips_an_exact_zero_first_entry(self, m):
+        # Block diagonal: the top eigenvectors live in the lower block, so
+        # their first entry is an exact 0 and the rule reads the next one,
+        # which LAPACK returns negative here on both paths.
+        B = np.random.default_rng(0).standard_normal((3, 3))
+        A = np.zeros((4, 4))
+        A[0, 0] = -1.0
+        A[1:, 1:] = B @ B.T + np.eye(3)
+        w, V = top_eigh(A, m)
+        w_ref, V_ref = reference_top_eigh(A, m)
+        assert V[0, 0] == 0.0 and V[1, 0] > 0.0
+        assert V.flags.c_contiguous
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
     def test_lapack_failure_raises(self, monkeypatch):
         def failing_dsyevr(A, **kwargs):
             k = A.shape[0]
